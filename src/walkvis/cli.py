@@ -331,12 +331,20 @@ def cmd_table2(args) -> int:
     return 0
 
 
+def _default_threads() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _add_common(p, *, seed=True):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="density tolerance")
     if seed:
         p.add_argument("--seed", type=_parse_seed, default=1)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, default=_default_threads(),
+                       help="worker threads (default: the CPUs this process may run on)")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="cap on total walker-steps (r*steps*trials)")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .numtheory import BExponent, CapacityError, DensityResult, as_bexp, sieve_primes
+from .numtheory import BExponent, CapacityError, DensityResult, as_bexp
 from .visibility import WatchpointSet, validate_watchpoint_set, visible_mask
 from .walk import (
     GOLDEN_GAMMA,
@@ -25,7 +25,8 @@ from .walk import (
     WalkerConfig,
     as_walker,
     derive_trial_seed,
-    uniform_block,
+    right_threshold,
+    splitmix64_block,
 )
 
 #: Largest step count accepted by the exact expectation oracles.
@@ -92,24 +93,25 @@ class AggregateResult:
     trial_results: tuple[TrialResult, ...]
 
 
-def _primes_for_displacements(max_abs_value: int) -> np.ndarray:
-    # visible_mask stops at min(max|dx|**(1/b1), max|dy|**(1/b2)) <= sqrt(max);
-    # sieve twice that so a terminating prime is always present.
-    return sieve_primes(max(8, 2 * math.isqrt(max_abs_value) + 16))
+def _right_steps(stream_seed: int, start: int, count: int, threshold) -> np.ndarray:
+    z = splitmix64_block(stream_seed, start, count)
+    z >>= np.uint64(11)
+    return z < threshold
 
 
-def _count_visible_watchpoints(b, points, alpha, stream_seed, n, primes) -> int:
+def _count_visible_watchpoints(b, points, alpha, stream_seed, n) -> int:
     count = 0
     x_prev = 0
+    threshold = right_threshold(alpha)
     for start in range(0, n, _CHUNK):
         cnt = min(_CHUNK, n - start)
-        rights = uniform_block(stream_seed, start, cnt) < alpha
+        rights = _right_steps(stream_seed, start, cnt, threshold)
         x = x_prev + np.cumsum(rights, dtype=np.int64)
         i = np.arange(start + 1, start + cnt + 1, dtype=np.int64)
         y = i - x
         ok = np.ones(cnt, dtype=bool)
         for u, v in points:
-            ok &= visible_mask(b, x - u, y - v, primes)
+            ok &= visible_mask(b, x - u, y - v)
         count += int(np.count_nonzero(ok))
         x_prev = int(x[-1])
     return count
@@ -126,9 +128,8 @@ def simulate_watchpoint_run(b, watchpoints, alpha, n, seed) -> TrialResult:
     a = as_walker(alpha).alpha
     if n < 1:
         raise ValueError(f"steps must be >= 1, got {n}")
-    primes = _primes_for_displacements(n + wset.max_offset() + 1)
     stream_seed = derive_trial_seed(seed, 0, 0, 1)
-    count = _count_visible_watchpoints(bb, wset.points, a, stream_seed, n, primes)
+    count = _count_visible_watchpoints(bb, wset.points, a, stream_seed, n)
     return TrialResult(0, count, n)
 
 
@@ -145,18 +146,18 @@ def simulate_walkers_run(b, alphas, n, seed) -> TrialResult:
     if n < 1:
         raise ValueError(f"steps must be >= 1, got {n}")
     r = len(cfgs)
-    primes = _primes_for_displacements(n + 1)
     stream_seeds = [derive_trial_seed(seed, 0, j, r) for j in range(r)]
+    thresholds = [right_threshold(cfg.alpha) for cfg in cfgs]
     count = 0
     x_prev = [0] * r
     for start in range(0, n, _CHUNK):
         cnt = min(_CHUNK, n - start)
         i = np.arange(start + 1, start + cnt + 1, dtype=np.int64)
         ok = np.ones(cnt, dtype=bool)
-        for j, cfg in enumerate(cfgs):
-            rights = uniform_block(stream_seeds[j], start, cnt) < cfg.alpha
+        for j in range(r):
+            rights = _right_steps(stream_seeds[j], start, cnt, thresholds[j])
             x = x_prev[j] + np.cumsum(rights, dtype=np.int64)
-            ok &= visible_mask(bb, x, i - x, primes)
+            ok &= visible_mask(bb, x, i - x)
             x_prev[j] = int(x[-1])
         count += int(np.count_nonzero(ok))
     return TrialResult(0, count, n)
@@ -183,9 +184,8 @@ def _batched_watchpoint_counts(spec: SimulationSpec) -> np.ndarray:
 
     mode = spec.mode
     n, T = spec.steps, spec.trials
-    alpha = mode.alpha.alpha
+    threshold = right_threshold(mode.alpha.alpha)
     points = mode.watchpoints.points
-    primes = _primes_for_displacements(n + mode.watchpoints.max_offset() + 1)
     gamma = np.uint64(GOLDEN_GAMMA)
     counts = np.empty(T, dtype=np.int64)
     step_idx = np.arange(1, n + 1, dtype=np.uint64)
@@ -198,12 +198,12 @@ def _batched_watchpoint_counts(spec: SimulationSpec) -> np.ndarray:
             trial_seeds = mix_u64(np.uint64(spec.master_seed & MASK64) + t_idx * gamma)
             stream_seeds = mix_u64(trial_seeds + gamma)
             z = mix_u64(stream_seeds[:, None] + step_idx[None, :] * gamma)
-            u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-            x = np.cumsum(u < alpha, axis=1, dtype=np.int64)
+            z >>= np.uint64(11)
+            x = np.cumsum(z < threshold, axis=1, dtype=np.int64)
             y = i_row[None, :] - x
             ok = np.ones(x.shape, dtype=bool)
             for ux, vy in points:
-                ok &= visible_mask(spec.b, x - ux, y - vy, primes)
+                ok &= visible_mask(spec.b, x - ux, y - vy)
             counts[t0 : t0 + tcnt] = ok.sum(axis=1)
     return counts
 
@@ -264,7 +264,6 @@ def exact_expectation_watchpoints(b, watchpoints, alpha, n) -> float:
     wset = watchpoints if isinstance(watchpoints, WatchpointSet) else validate_watchpoint_set(bb, watchpoints)
     a = as_walker(alpha).alpha
     _check_exact_cap(n)
-    primes = _primes_for_displacements(n + wset.max_offset() + 1)
     lg = gammaln(np.arange(n + 2, dtype=np.float64))
     log_a, log_1a = math.log(a), math.log1p(-a)
     per_step = []
@@ -274,7 +273,7 @@ def exact_expectation_watchpoints(b, watchpoints, alpha, n) -> float:
         pmf = np.exp(lg[i + 1] - lg[k + 1] - lg[i - k + 1] + kf * log_a + (i - kf) * log_1a)
         ok = np.ones(i + 1, dtype=bool)
         for ux, vy in wset.points:
-            ok &= visible_mask(bb, k - ux, (i - k) - vy, primes)
+            ok &= visible_mask(bb, k - ux, (i - k) - vy)
         per_step.append(float(pmf[ok].sum()))
     return math.fsum(per_step) / n
 
@@ -290,13 +289,12 @@ def exact_expectation_walkers(b, alphas, n) -> float:
     if not cfgs:
         raise ValueError("need at least one walker")
     _check_exact_cap(n)
-    primes = _primes_for_displacements(n + 1)
     lg = gammaln(np.arange(n + 2, dtype=np.float64))
     per_step = []
     for i in range(1, n + 1):
         k = np.arange(i + 1, dtype=np.int64)
         kf = k.astype(np.float64)
-        ok = visible_mask(bb, k, i - k, primes)
+        ok = visible_mask(bb, k, i - k)
         base = lg[i + 1] - lg[k + 1] - lg[i - k + 1]
         mass_by_alpha: dict[float, float] = {}
         prob = 1.0

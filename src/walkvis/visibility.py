@@ -9,11 +9,15 @@ pairwise-visibility condition and the 2**(b1+b2) cardinality bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .numtheory import BExponent, PrimeTables, as_bexp, factorize_distinct, _pow_divides
+from .numtheory import (
+    MAX_TABLE_ENTRIES, BExponent, CapacityError, PrimeTables, _pow_divides, as_bexp,
+    factorize_distinct, sieve_primes,
+)
 
 
 class LatticePoint(NamedTuple):
@@ -94,9 +98,6 @@ class WatchpointSet:
     def size(self) -> int:
         return len(self.points)
 
-    def max_offset(self) -> int:
-        return max(max(abs(pt.x), abs(pt.y)) for pt in self.points)
-
 
 class WatchpointValidationError(ValueError):
     """Rejection of a candidate watchpoint set.
@@ -137,13 +138,56 @@ def validate_watchpoint_set(b, points: Sequence, tables: PrimeTables | None = No
     return WatchpointSet(bb, tuple(pts))
 
 
-def visible_mask(b, dx, dy, primes: np.ndarray) -> np.ndarray:
-    """Vectorized is_b_visible over displacement arrays.
+# A call reads at most two tables (K_b1 and K_b2); more cached tables
+# measurably raised peak RSS on the Table 1 workload.
+@lru_cache(maxsize=2)
+def _kernel_table(e: int, lo: int, hi: int) -> np.ndarray:
+    """K_e[m] for lo <= m <= hi, at index m - lo: the product of the primes p
+    with p**e | m, and 1 at m = 0.  Read-only, so threads may share it."""
+    root = int(hi ** (1.0 / e)) + 1  # at or just past the e-th root; extra primes stride nothing
+    if root + 1 > MAX_TABLE_ENTRIES or hi - lo + 1 > MAX_TABLE_ENTRIES:
+        raise CapacityError(
+            f"kernel table K_{e} on [{lo}, {hi}] needs a sieve to {root} over "
+            f"{hi - lo + 1} entries, beyond the cap of {MAX_TABLE_ENTRIES}"
+        )
+    table = np.ones(hi - lo + 1, dtype=np.int32 if hi < 2**31 else np.int64)
+    first = max(lo, 1)
+    for p in sieve_primes(root).tolist():
+        q = p**e
+        table[-(-first // q) * q - lo :: q] *= p
+    table.flags.writeable = False
+    return table
+
+
+def _kernel(e: int, v: np.ndarray) -> np.ndarray:
+    """K_e at every entry of the nonnegative array v (v itself when e = 1).
+
+    The table starts at base, the multiple of g at or below min(v), where g
+    is the power of two above the spread of v, and its length is the power
+    of two (g or 2g) that reaches max(v).  Successive calls on one walk thus
+    share a window, built once.
+    """
+    if e == 1 or v.size == 0:
+        return v
+    lo, hi = int(v.min()), int(v.max())
+    g = 1 << (hi - lo).bit_length()
+    base = lo - lo % g
+    table = _kernel_table(e, base, base + (1 << (hi - base).bit_length()) - 1)
+    return table[v - base] if base else table[v]
+
+
+def visible_mask(b, dx, dy) -> np.ndarray:
+    """Vectorized is_b_visible over displacement arrays of any shape.
 
     Matches the scalar predicate exactly, shared-coordinate rule included;
     the all-zero displacement maps to False (a walker standing on a
-    watchpoint does not count as visible).  ``primes`` must extend past
-    min(max|dx|**(1/b1), max|dy|**(1/b2)).
+    watchpoint does not count as visible).  An off-axis displacement is
+    invisible exactly when some prime p has p**b1 | dx and p**b2 | dy, that
+    is when gcd(K_b1[|dx|], K_b2[|dy|]) > 1, where K_e[m] is the product of
+    the primes whose e-th power divides m (K_1[m] may be taken as m).  The
+    K_e are looked up in cached tables over a window of the values, and the
+    gcd runs only where both kernels exceed 1.  Raises CapacityError when a
+    table would need a sieve past MAX_TABLE_ENTRIES.
     """
     bb = as_bexp(b)
     a = np.abs(dx)
@@ -151,20 +195,11 @@ def visible_mask(b, dx, dy, primes: np.ndarray) -> np.ndarray:
     if bb.b1 == 1 and bb.b2 == 1:
         bad = np.gcd(a, c) != 1
     else:
-        bad = np.zeros(a.shape, dtype=bool)
-        max_a = int(a.max(initial=0))
-        max_c = int(c.max(initial=0))
-        exhausted = True
-        for p in primes:
-            p = int(p)
-            pb1 = p**bb.b1
-            pb2 = p**bb.b2
-            if pb1 > max_a or pb2 > max_c:
-                exhausted = False
-                break
-            bad |= (a % pb1 == 0) & (c % pb2 == 0)
-        if exhausted:
-            raise ValueError("prime table too short for these displacements")
+        ka = _kernel(bb.b1, a)
+        kc = _kernel(bb.b2, c)
+        bad = (ka > 1) & (kc > 1)
+        hit = np.nonzero(bad)
+        bad[hit] = np.gcd(ka[hit], kc[hit]) > 1
     vis = ~bad
     zx = a == 0
     zy = c == 0

@@ -8,6 +8,7 @@ addressable directly -- that is what the vectorized block helpers exploit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -113,3 +114,10 @@ def splitmix64_block(seed: int, start: int, count: int) -> np.ndarray:
 def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     """Uniforms start+1 .. start+count of the stream, as float64 in [0, 1)."""
     return (splitmix64_block(seed, start, count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def right_threshold(alpha: float) -> np.uint64:
+    """The integer t = ceil(alpha * 2**53): a draw z moves right exactly when
+    (z >> 11) < t, which is the uniform test (z >> 11) * 2**-53 < alpha
+    without the float conversion (alpha * 2**53 is exact)."""
+    return np.uint64(math.ceil(as_walker(alpha).alpha * 2**53))

@@ -1,11 +1,15 @@
 import io
 import json
+import os
 from contextlib import redirect_stdout
 
 import pytest
 
-from walkvis.cli import main
+from walkvis.cli import build_parser, main
+from walkvis.numtheory import build_tables
 from walkvis.theory import density_walkers, density_watchpoints
+from walkvis.visibility import is_b_visible
+from walkvis.walk import derive_trial_seed, walk_positions
 
 
 def run_cli(*argv):
@@ -78,6 +82,39 @@ def test_simulate_budget_exits_4():
         "--steps", "1000", "--trials", "10", "--seed", "1", "--budget", "100",
     )
     assert code == 4
+
+
+def test_simulate_far_watchpoint_matches_scalar_oracle():
+    # a watchpoint near x = 1e9 gets a kernel table over its own window
+    wps = [(0, 0), (1_000_000_001, 1)]
+    n, seed = 100_000, 5
+    code, out = run_cli(
+        "simulate", "watchpoints", "--b", "2,1", "--watchpoints", "0,0;1000000001,1",
+        "--alpha", "0.5", "--steps", str(n), "--trials", "2", "--seed", str(seed),
+        "--format", "json",
+    )
+    assert code == 0
+    rec = json.loads(out)
+    trial0 = rec["rows"][0]
+    assert trial0[:2] == ["trial", 0]
+    stream = derive_trial_seed(derive_trial_seed(seed, 0, 0, 1), 0, 0, 1)
+    tables = build_tables(n + 2)  # the scalar predicate factors the smaller |displacement|
+    want = sum(
+        pos not in wps and all(is_b_visible((2, 1), pos, w, tables) for w in wps)
+        for pos in walk_positions(0.5, stream, n)
+    )
+    assert trial0[2] == want
+
+
+def test_simulate_watchpoint_beyond_sieve_cap_exits_4(capsys):
+    # K_2 near 1e17 needs primes to ~3.2e8: refused, nothing that size allocated
+    code, out = run_cli(
+        "simulate", "watchpoints", "--b", "2,1", "--watchpoints", "0,0;100000000000000001,1",
+        "--alpha", "0.5", "--steps", "1000", "--trials", "2", "--threads", "1",
+    )
+    assert code == 4
+    assert out == ""
+    assert "cap" in capsys.readouterr().err
 
 
 def test_simulate_single_step_proportion_binary():
@@ -196,3 +233,8 @@ def test_json_output_stable_keys():
     doc2.pop("timing_seconds")
     assert doc1 == doc2
     assert abs(doc1["rows"][0][0] - density_walkers((2, 3), 5).value) < 1e-12
+
+
+def test_threads_default_to_usable_cpus():
+    args = build_parser().parse_args(["table1"])
+    assert args.threads == len(os.sched_getaffinity(0))

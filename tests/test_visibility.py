@@ -1,11 +1,13 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walkvis.numtheory import build_tables, sieve_primes
+from walkvis.numtheory import CapacityError
 from walkvis.visibility import (
     WatchpointValidationError,
     curve_oracle_visible,
@@ -85,29 +87,87 @@ def test_predicates_depend_only_on_displacement():
 def test_origin_density_matches_inv_zeta2():
     n = 500
     xs, ys = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
-    primes = sieve_primes(2 * math.isqrt(n) + 16)
-    vis = visible_mask((1, 1), xs.ravel(), ys.ravel(), primes)
+    vis = visible_mask((1, 1), xs.ravel(), ys.ravel())
     frac = vis.mean()
     assert abs(frac - 0.607927) < 0.02
 
 
 def test_visible_mask_matches_scalar():
-    primes = sieve_primes(1000)
     state = np.random.default_rng(7)
     for b in BS + [(2, 5), (3, 4)]:
         dx = state.integers(-400, 400, size=300)
         dy = state.integers(-400, 400, size=300)
         keep = ~((dx == 0) & (dy == 0))
         dx, dy = dx[keep], dy[keep]
-        mask = visible_mask(b, dx, dy, primes)
+        mask = visible_mask(b, dx, dy)
         for i in range(len(dx)):
             assert mask[i] == is_b_visible(b, (int(dx[i]), int(dy[i])), (0, 0))
 
 
 def test_visible_mask_zero_displacement_is_invisible():
-    primes = sieve_primes(100)
-    mask = visible_mask((1, 2), np.array([0, 0, 1]), np.array([0, 1, 0]), primes)
+    mask = visible_mask((1, 2), np.array([0, 0, 1]), np.array([0, 1, 0]))
     assert mask.tolist() == [False, True, True]
+
+
+COPRIME_BS = [(b1, b2) for b1 in range(1, 6) for b2 in range(1, 6) if math.gcd(b1, b2) == 1]
+# every kind of point the mask must get right: origin, both axes, unit steps
+SPECIAL_DELTAS = [(0, 0), (0, 1), (0, -1), (0, 4), (1, 0), (-1, 0), (-8, 0), (4, 8), (-27, 9)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(COPRIME_BS),
+    st.lists(st.tuples(st.integers(-300, 300), st.integers(-300, 300)), max_size=60),
+    st.sampled_from([0, 10**9, -(10**9 + 7), 2**31 + 5]),
+    st.booleans(),
+)
+def test_visible_mask_matches_scalar_differential(b, deltas, offset, offset_on_x):
+    # the offset moves one coordinate's window far from 0, as a far watchpoint does
+    pairs = [
+        (dx + offset, dy) if offset_on_x else (dx, dy + offset)
+        for dx, dy in SPECIAL_DELTAS + deltas
+    ]
+    dx = np.array([p[0] for p in pairs], dtype=np.int64)
+    dy = np.array([p[1] for p in pairs], dtype=np.int64)
+    mask = visible_mask(b, dx, dy)
+    for got, p in zip(mask.tolist(), pairs):
+        want = p != (0, 0) and is_b_visible(b, p, (0, 0))
+        assert got == want, (b, p)
+
+
+def test_visible_mask_far_window_beyond_cap_raises():
+    # K_2 on a window near 1e17 would need a sieve to ~3.2e8 > MAX_TABLE_ENTRIES
+    dx = np.array([10**17, 10**17 + 1], dtype=np.int64)
+    with pytest.raises(CapacityError):
+        visible_mask((2, 1), dx, np.array([1, 2], dtype=np.int64))
+
+
+def test_visible_mask_threads_share_kernel_tables():
+    # more threads than cores and more windows than the table cache holds, so
+    # threads build, evict and read the shared tables while others use them
+    state = np.random.default_rng(11)
+    cases = []
+    for b in [(1, 2), (2, 3), (3, 5), (5, 4)]:
+        for offset in range(0, 12 * 4096, 4096):
+            dx = offset + state.integers(0, 3000, size=2000)
+            dy = state.integers(-500, 500, size=2000)
+            cases.append((b, dx, dy))
+    want = [visible_mask(b, dx, dy) for b, dx, dy in cases]
+
+    def run(order):
+        return [(i, visible_mask(*cases[i])) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(run, state.permutation(len(cases))) for _ in range(8)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        for i, mask in result:
+            assert np.array_equal(mask, want[i]), cases[i][0]
 
 
 def test_validate_watchpoint_set():

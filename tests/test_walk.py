@@ -11,6 +11,7 @@ from walkvis.walk import (
     derive_trial_seed,
     mix_u64,
     next_uniform,
+    right_threshold,
     splitmix64_block,
     splitmix64_next,
     uniform_block,
@@ -140,3 +141,19 @@ def test_walk_positions_matches_blocks():
     rights = uniform_block(seed, 0, 2000) < cfg.alpha
     x = np.cumsum(rights)
     assert [p.x for p in pts] == x.tolist()
+
+
+def test_right_threshold_is_the_uniform_test():
+    # alpha exactly on the 2**-53 grid, and its float neighbours on both sides
+    edge = []
+    for k0 in (1, 3, 2**52, 2**52 + 1, 3 * 2**51 + 7, 2**53 - 1):
+        a = k0 * 2.0**-53
+        edge += [a, float(np.nextafter(a, 0.0)), float(np.nextafter(a, 1.0))]
+    for alpha in edge + [0.5, 0.3, 1 / 3, 0.1]:
+        if not 0.0 < alpha < 1.0:
+            continue
+        t = int(right_threshold(alpha))
+        for k in range(max(0, t - 3), min(2**53, t + 3)):
+            assert (k < t) == (k * 2.0**-53 < alpha), (alpha, k)
+        z = splitmix64_block(99, 0, 4096) >> np.uint64(11)
+        assert np.array_equal(z < right_threshold(alpha), uniform_block(99, 0, 4096) < alpha)
