@@ -3,9 +3,11 @@ expectation oracles from binomial sums.
 
 Trials are embarrassingly parallel: every trial's stream is derived from the
 master seed alone, and aggregation always runs in ascending trial order, so
-results are identical no matter how execution is scheduled.  The simulators
-process steps in fixed-size blocks of the SplitMix64 stream, which keeps
-memory flat and reproduces the lazy per-step walk bit-for-bit.
+results are identical no matter how execution is scheduled.  Every Monte
+Carlo path, one walker seen from several watchpoints or several walkers seen
+from the origin, runs through one engine that works in (trial block x step
+chunk) units of the SplitMix64 streams, which keeps memory flat and
+reproduces the lazy per-step walk bit-for-bit.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from scipy.special import gammaln
 from .numtheory import BExponent, CapacityError, DensityResult, as_bexp
 from .visibility import WatchpointSet, validate_watchpoint_set, visible_mask
 from .walk import (
-    GOLDEN_GAMMA,
     MASK64,
     WalkerConfig,
     as_walker,
@@ -33,7 +34,8 @@ from .walk import (
 EXACT_STEP_CAP = 2000
 
 _CHUNK = 1 << 20
-_BATCH_STEP_LIMIT = 64  # batch trials across the step axis below this n
+_BATCH_STEP_LIMIT = 64
+_ORIGIN = ((0, 0),)
 
 
 @dataclass(frozen=True)
@@ -93,28 +95,56 @@ class AggregateResult:
     trial_results: tuple[TrialResult, ...]
 
 
-def _right_steps(stream_seed: int, start: int, count: int, threshold) -> np.ndarray:
-    z = splitmix64_block(stream_seed, start, count)
-    z >>= np.uint64(11)
-    return z < threshold
+def _check_steps(points, n: int) -> None:
+    """Reject n < 1, and points whose displacements over n steps would leave int64."""
+    if n < 1:
+        raise ValueError(f"steps must be >= 1, got {n}")
+    reach = max(max(abs(u), abs(v)) for u, v in points) + n
+    if reach >= 2**63:
+        raise ValueError(
+            f"watchpoint coordinates plus {n} steps reach {reach}, beyond int64 (2**63 - 1)"
+        )
 
 
-def _count_visible_watchpoints(b, points, alpha, stream_seed, n) -> int:
-    count = 0
-    x_prev = 0
-    threshold = right_threshold(alpha)
-    for start in range(0, n, _CHUNK):
-        cnt = min(_CHUNK, n - start)
-        rights = _right_steps(stream_seed, start, cnt, threshold)
-        x = x_prev + np.cumsum(rights, dtype=np.int64)
-        i = np.arange(start + 1, start + cnt + 1, dtype=np.int64)
-        y = i - x
-        ok = np.ones(cnt, dtype=bool)
-        for u, v in points:
-            ok &= visible_mask(b, x - u, y - v)
-        count += int(np.count_nonzero(ok))
-        x_prev = int(x[-1])
-    return count
+def _visible_counts(b, trial_seeds: np.ndarray, alphas, points, n: int) -> np.ndarray:
+    """Visible-step count of each trial seed over steps 1..n.
+
+    Trial t runs one stream per alpha, stream j seeded with
+    derive_trial_seed(trial_seeds[t], 0, j, len(alphas)).  A step counts
+    when, for every stream and every point, the stream's position minus the
+    point is b-visible.  Work goes in (trial block x step chunk) units of at
+    most _CHUNK steps per stream, each stream's x carrying across chunks.
+    Raises ValueError when a displacement could leave int64.
+    """
+    _check_steps(points, n)
+    thresholds = [right_threshold(a) for a in alphas]
+    counts = np.zeros(len(trial_seeds), dtype=np.int64)
+    block = max(1, _CHUNK // max(n, len(thresholds)))  # bounds the seed and carry matrices too
+    for t0 in range(0, len(trial_seeds), block):
+        seeds = splitmix64_block(trial_seeds[t0 : t0 + block, None], 0, len(thresholds))
+        tb = len(seeds)
+        x_prev = np.zeros(seeds.shape, dtype=np.int64)
+        for start in range(0, n, _CHUNK):
+            cnt = min(_CHUNK, n - start)
+            i = np.arange(start + 1, start + cnt + 1, dtype=np.int64)
+            ok = np.ones(tb * cnt, dtype=bool)
+            for j, threshold in enumerate(thresholds):
+                z = splitmix64_block(seeds[:, j, None], start, cnt)
+                z >>= np.uint64(11)
+                x = np.cumsum(z < threshold, axis=1, dtype=np.int64)
+                x += x_prev[:, j, None]
+                x_prev[:, j] = x[:, -1]
+                y = (i - x).ravel()
+                x = x.ravel()
+                for u, v in points:
+                    ok &= visible_mask(b, x - u if u else x, y - v if v else y)
+            counts[t0 : t0 + tb] += np.count_nonzero(ok.reshape(tb, cnt), axis=1)
+    return counts
+
+
+def _one_trial(b, seed: int, alphas, points, n: int) -> TrialResult:
+    count = _visible_counts(b, np.array([seed & MASK64], dtype=np.uint64), alphas, points, n)[0]
+    return TrialResult(0, int(count), n)
 
 
 def simulate_watchpoint_run(b, watchpoints, alpha, n, seed) -> TrialResult:
@@ -125,12 +155,7 @@ def simulate_watchpoint_run(b, watchpoints, alpha, n, seed) -> TrialResult:
     """
     bb = as_bexp(b)
     wset = watchpoints if isinstance(watchpoints, WatchpointSet) else validate_watchpoint_set(bb, watchpoints)
-    a = as_walker(alpha).alpha
-    if n < 1:
-        raise ValueError(f"steps must be >= 1, got {n}")
-    stream_seed = derive_trial_seed(seed, 0, 0, 1)
-    count = _count_visible_watchpoints(bb, wset.points, a, stream_seed, n)
-    return TrialResult(0, count, n)
+    return _one_trial(bb, seed, (as_walker(alpha),), wset.points, n)
 
 
 def simulate_walkers_run(b, alphas, n, seed) -> TrialResult:
@@ -139,28 +164,10 @@ def simulate_walkers_run(b, alphas, n, seed) -> TrialResult:
     Walker j's stream seed is the (j+1)-th output of the given seed, so the
     walkers are mutually independent and the whole trial reproducible.
     """
-    bb = as_bexp(b)
     cfgs = tuple(as_walker(a) for a in alphas)
     if not cfgs:
         raise ValueError("need at least one walker")
-    if n < 1:
-        raise ValueError(f"steps must be >= 1, got {n}")
-    r = len(cfgs)
-    stream_seeds = [derive_trial_seed(seed, 0, j, r) for j in range(r)]
-    thresholds = [right_threshold(cfg.alpha) for cfg in cfgs]
-    count = 0
-    x_prev = [0] * r
-    for start in range(0, n, _CHUNK):
-        cnt = min(_CHUNK, n - start)
-        i = np.arange(start + 1, start + cnt + 1, dtype=np.int64)
-        ok = np.ones(cnt, dtype=bool)
-        for j in range(r):
-            rights = _right_steps(stream_seeds[j], start, cnt, thresholds[j])
-            x = x_prev[j] + np.cumsum(rights, dtype=np.int64)
-            ok &= visible_mask(bb, x, i - x)
-            x_prev[j] = int(x[-1])
-        count += int(np.count_nonzero(ok))
-    return TrialResult(0, count, n)
+    return _one_trial(as_bexp(b), seed, cfgs, _ORIGIN, n)
 
 
 def _run_trial(spec: SimulationSpec, t: int) -> TrialResult:
@@ -174,54 +181,24 @@ def _run_trial(spec: SimulationSpec, t: int) -> TrialResult:
     return TrialResult(t, res.visible_count, res.steps)
 
 
-def _batched_watchpoint_counts(spec: SimulationSpec) -> np.ndarray:
-    """All trial counts at once for small n; bit-identical to _run_trial.
-
-    Collapses the two seed derivations (master -> trial -> stream) and the
-    per-step uniforms into direct SplitMix64 index arithmetic.
-    """
-    from .walk import mix_u64  # local import keeps module load light
-
-    mode = spec.mode
-    n, T = spec.steps, spec.trials
-    threshold = right_threshold(mode.alpha.alpha)
-    points = mode.watchpoints.points
-    gamma = np.uint64(GOLDEN_GAMMA)
-    counts = np.empty(T, dtype=np.int64)
-    step_idx = np.arange(1, n + 1, dtype=np.uint64)
-    i_row = np.arange(1, n + 1, dtype=np.int64)
-    block = max(1, 4_000_000 // n)
-    with np.errstate(over="ignore"):
-        for t0 in range(0, T, block):
-            tcnt = min(block, T - t0)
-            t_idx = np.arange(t0 + 1, t0 + tcnt + 1, dtype=np.uint64)
-            trial_seeds = mix_u64(np.uint64(spec.master_seed & MASK64) + t_idx * gamma)
-            stream_seeds = mix_u64(trial_seeds + gamma)
-            z = mix_u64(stream_seeds[:, None] + step_idx[None, :] * gamma)
-            z >>= np.uint64(11)
-            x = np.cumsum(z < threshold, axis=1, dtype=np.int64)
-            y = i_row[None, :] - x
-            ok = np.ones(x.shape, dtype=bool)
-            for ux, vy in points:
-                ok &= visible_mask(spec.b, x - ux, y - vy)
-            counts[t0 : t0 + tcnt] = ok.sum(axis=1)
-    return counts
-
-
 def aggregate_trials(spec: SimulationSpec, theory: DensityResult, threads: int = 1) -> AggregateResult:
     """Run all trials of the spec and aggregate in ascending trial order.
 
     The per-trial seeds depend only on (master_seed, trial index), so the
     result is identical whether trials run serially, threaded, or batched.
+    At or below _BATCH_STEP_LIMIT steps, all trials go to the engine in one
+    call; above it, the pool maps the per-trial simulators over trials.
     """
     T = spec.trials
-    if (
-        isinstance(spec.mode, WatchpointsMode)
-        and spec.steps <= _BATCH_STEP_LIMIT
-        and T >= 128
-    ):
-        counts = _batched_watchpoint_counts(spec)
-        results = [TrialResult(t, int(counts[t]), spec.steps) for t in range(T)]
+    if spec.steps <= _BATCH_STEP_LIMIT:
+        mode = spec.mode
+        if isinstance(mode, WatchpointsMode):
+            alphas, points = (mode.alpha,), mode.watchpoints.points
+        else:
+            alphas, points = mode.alphas, _ORIGIN
+        trial_seeds = splitmix64_block(spec.master_seed, 0, T)  # derive_trial_seed(master, t, 0, 1)
+        counts = _visible_counts(spec.b, trial_seeds, alphas, points, spec.steps)
+        results = [TrialResult(t, c, spec.steps) for t, c in enumerate(counts.tolist())]
     elif threads > 1 and T > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda t: _run_trial(spec, t), range(T)))
@@ -245,11 +222,29 @@ def aggregate_trials(spec: SimulationSpec, theory: DensityResult, threads: int =
     )
 
 
-def _check_exact_cap(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"steps must be >= 1, got {n}")
+def _visible_mass(b, points, alphas, n: int) -> np.ndarray:
+    """Row i-1, column c: the binomial mass at step i of the positions
+    (k, i-k) visible from every point, for a walker of alpha ``alphas[c]``.
+
+    The pmf is evaluated per term in log space to dodge underflow for i in
+    the hundreds.
+    """
+    _check_steps(points, n)
     if n > EXACT_STEP_CAP:
         raise CapacityError(f"exact oracles are capped at n = {EXACT_STEP_CAP}, got {n}")
+    lg = gammaln(np.arange(n + 2, dtype=np.float64))
+    logs = [(math.log(a), math.log1p(-a)) for a in alphas]
+    mass = np.empty((n, len(alphas)))
+    for i in range(1, n + 1):
+        k = np.arange(i + 1, dtype=np.int64)
+        kf = k.astype(np.float64)
+        ok = np.ones(i + 1, dtype=bool)
+        for u, v in points:
+            ok &= visible_mask(b, k - u, (i - k) - v)
+        base = lg[i + 1] - lg[k + 1] - lg[i - k + 1]
+        for c, (log_a, log_1a) in enumerate(logs):
+            mass[i - 1, c] = np.exp(base + kf * log_a + (i - kf) * log_1a)[ok].sum()
+    return mass
 
 
 def exact_expectation_watchpoints(b, watchpoints, alpha, n) -> float:
@@ -257,25 +252,12 @@ def exact_expectation_watchpoints(b, watchpoints, alpha, n) -> float:
 
     Sums, for each step i, the binomial mass of the positions (k, i-k) that
     are visible from every watchpoint, with the same on-watchpoint and
-    shared-coordinate conventions as the simulator.  The pmf is evaluated
-    per term in log space to dodge underflow for i in the hundreds.
+    shared-coordinate conventions as the simulator.
     """
     bb = as_bexp(b)
     wset = watchpoints if isinstance(watchpoints, WatchpointSet) else validate_watchpoint_set(bb, watchpoints)
-    a = as_walker(alpha).alpha
-    _check_exact_cap(n)
-    lg = gammaln(np.arange(n + 2, dtype=np.float64))
-    log_a, log_1a = math.log(a), math.log1p(-a)
-    per_step = []
-    for i in range(1, n + 1):
-        k = np.arange(i + 1, dtype=np.int64)
-        kf = k.astype(np.float64)
-        pmf = np.exp(lg[i + 1] - lg[k + 1] - lg[i - k + 1] + kf * log_a + (i - kf) * log_1a)
-        ok = np.ones(i + 1, dtype=bool)
-        for ux, vy in wset.points:
-            ok &= visible_mask(bb, k - ux, (i - k) - vy)
-        per_step.append(float(pmf[ok].sum()))
-    return math.fsum(per_step) / n
+    mass = _visible_mass(bb, wset.points, [as_walker(alpha).alpha], n)
+    return math.fsum(mass[:, 0].tolist()) / n
 
 
 def exact_expectation_walkers(b, alphas, n) -> float:
@@ -288,21 +270,7 @@ def exact_expectation_walkers(b, alphas, n) -> float:
     cfgs = tuple(as_walker(a) for a in alphas)
     if not cfgs:
         raise ValueError("need at least one walker")
-    _check_exact_cap(n)
-    lg = gammaln(np.arange(n + 2, dtype=np.float64))
-    per_step = []
-    for i in range(1, n + 1):
-        k = np.arange(i + 1, dtype=np.int64)
-        kf = k.astype(np.float64)
-        ok = visible_mask(bb, k, i - k)
-        base = lg[i + 1] - lg[k + 1] - lg[i - k + 1]
-        mass_by_alpha: dict[float, float] = {}
-        prob = 1.0
-        for cfg in cfgs:
-            a = cfg.alpha
-            if a not in mass_by_alpha:
-                pmf = np.exp(base + kf * math.log(a) + (i - kf) * math.log1p(-a))
-                mass_by_alpha[a] = float(pmf[ok].sum())
-            prob *= mass_by_alpha[a]
-        per_step.append(prob)
-    return math.fsum(per_step) / n
+    distinct = list(dict.fromkeys(cfg.alpha for cfg in cfgs))
+    mass = _visible_mass(bb, _ORIGIN, distinct, n)
+    cols = [distinct.index(cfg.alpha) for cfg in cfgs]
+    return math.fsum(math.prod(row[c] for c in cols) for row in mass.tolist()) / n

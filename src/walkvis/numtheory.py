@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator
 
@@ -197,27 +198,36 @@ def gcd_b(b, m: int, n: int, tables: PrimeTables | None = None) -> int:
     return g
 
 
+# B_2, B_4, ..., B_16: the Bernoulli numbers of the Euler-Maclaurin corrections
+_BERNOULLI_EVEN = (
+    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+)
+
+
 @lru_cache(maxsize=None)
 def zeta_int(k: int) -> float:
-    """Riemann zeta at an integer k >= 2, absolute error below 1e-15.
+    """Riemann zeta at an integer k >= 2, as one rounding of an exact sum.
 
-    Direct summation to N = 10**6 plus an Euler-Maclaurin tail with two
-    Bernoulli corrections; the first omitted term is O(k**5 * N**(-k-5)).
+    The sum is Euler-Maclaurin at N = 16 with eight Bernoulli corrections,
+    in rationals:  sum_{n<16} n**-k + 16**(1-k)/(k-1) + 16**-k/2
+    + sum_{j=1..8} B_2j/(2j)! * k(k+1)...(k+2j-2) * 16**(1-k-2j), within
+    4e-22 relative of zeta(k) at k = 2 and closer for larger k.  For
+    k >= 54, zeta(k) - 1 <= 2**-k + 2**(1-k)/(k-1) < 2**-53 rounds to 1.0.
     """
     if k < 2:
         raise ValueError(f"zeta_int requires k >= 2, got {k}")
-    N = 10**6
-    ns = np.arange(1, N + 1, dtype=np.float64)
-    terms = ns ** float(-k)
-    head = math.fsum(terms[:4096].tolist())
-    tail_sum = float(np.sum(terms[4096:][::-1]))  # ascending, for accuracy
-    tail = (
-        N ** (1 - k) / (k - 1)
-        - N ** (-k) / 2
-        + k * N ** (-k - 1) / 12
-        - k * (k + 1) * (k + 2) * N ** (-k - 3) / 720
-    )
-    return head + tail_sum + tail
+    if k >= 54:
+        return 1.0
+    N = 16
+    total = sum(Fraction(1, n**k) for n in range(1, N))
+    total += Fraction(1, (k - 1) * N ** (k - 1)) + Fraction(1, 2 * N**k)
+    rising, factorial = k, 2  # k(k+1)...(k+2j-2) and (2j)!, at j = 1
+    for j, bern in enumerate(_BERNOULLI_EVEN, start=1):
+        total += bern * Fraction(rising, factorial * N ** (k + 2 * j - 1))
+        rising *= (k + 2 * j - 1) * (k + 2 * j)
+        factorial *= (2 * j + 1) * (2 * j + 2)
+    return float(total)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ pairwise-visibility condition and the 2**(b1+b2) cardinality bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -27,15 +28,10 @@ class LatticePoint(NamedTuple):
 
 def _has_common_curve_divisor(b: BExponent, a: int, c: int, tables: PrimeTables | None) -> bool:
     # a, c >= 1; is there a prime p with p**b1 | a and p**b2 | c?
-    # Factor whichever side is smaller; a contributing prime divides both.
-    if a <= c:
-        for p, k in factorize_distinct(a, tables):
-            if k >= b.b1 and _pow_divides(p, b.b2, c):
-                return True
-    else:
-        for p, k in factorize_distinct(c, tables):
-            if k >= b.b2 and _pow_divides(p, b.b1, a):
-                return True
+    # Such a prime divides gcd(a, c), so only the gcd is factored.
+    for p, _ in factorize_distinct(math.gcd(a, c), tables):
+        if _pow_divides(p, b.b1, a) and _pow_divides(p, b.b2, c):
+            return True
     return False
 
 

@@ -103,11 +103,12 @@ def mix_u64(z: np.ndarray) -> np.ndarray:
 
 
 def splitmix64_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs start+1 .. start+count of the stream seeded by ``seed``,
-    as a uint64 array; bit-identical to stepping splitmix64_next."""
+    """Outputs start+1 .. start+count of the stream seeded by ``seed``, a row
+    per seed when ``seed`` is a uint64 column, as a uint64 array;
+    bit-identical to stepping splitmix64_next."""
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        state = np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN_GAMMA)
+        state = np.asarray(seed & MASK64, dtype=np.uint64) + idx * np.uint64(GOLDEN_GAMMA)
     return mix_u64(state)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -115,6 +116,46 @@ def test_simulate_watchpoint_beyond_sieve_cap_exits_4(capsys):
     assert code == 4
     assert out == ""
     assert "cap" in capsys.readouterr().err
+
+
+def test_simulate_watchpoint_past_int64_exits_2(capsys):
+    # |v| + n must stay below 2**63, or the displacements would wrap
+    for v, code_want in (("-9223372036854775798", 2), ("-9223372036854775598", 0)):
+        code, out = run_cli(
+            "simulate", "watchpoints", "--b", "1,1", f"--watchpoints=0,0;1,{v}",
+            "--alpha", "0.5", "--steps", "200", "--trials", "1", "--seed", "4",
+        )
+        assert code == code_want
+    # the in-range point is counted as the scalar oracle counts it
+    wps = [(0, 0), (1, -9223372036854775598)]
+    stream = derive_trial_seed(derive_trial_seed(4, 0, 0, 1), 0, 0, 1)
+    want = sum(
+        pos not in wps and all(is_b_visible((1, 1), pos, w) for w in wps)
+        for pos in walk_positions(0.5, stream, 200)
+    )
+    assert csv_rows(out)[1][0][2] == str(want)
+    code, _ = run_cli(
+        "simulate", "watchpoints", "--b", "1,2", "--watchpoints", "0,0;10000000000000000001,1",
+        "--alpha", "0.5", "--steps", "100", "--trials", "1",
+    )
+    assert code == 2
+    code, _ = run_cli(
+        "exact", "watchpoints", "--b", "1,2", "--watchpoints", "0,0;10000000000000000001,1",
+        "--alpha", "0.5", "--steps", "10",
+    )
+    assert code == 2
+    assert "int64" in capsys.readouterr().err
+
+
+def test_simulate_watchpoints_with_large_coprime_coordinates():
+    # validation factors gcd(dx, dy) = 1, not the 19-digit smaller coordinate
+    code, out = run_cli(
+        "simulate", "watchpoints", "--b", "1,1",
+        "--watchpoints", "0,0;4000000000000000037,4000000000000000091",
+        "--alpha", "0.5", "--steps", "10", "--trials", "1",
+    )
+    assert code == 0
+    assert csv_rows(out)[1][-1][0] == "aggregate"
 
 
 def test_simulate_single_step_proportion_binary():
@@ -238,3 +279,45 @@ def test_json_output_stable_keys():
 def test_threads_default_to_usable_cpus():
     args = build_parser().parse_args(["table1"])
     assert args.threads == len(os.sched_getaffinity(0))
+
+
+# sha256 of the CSV each command prints; every Monte Carlo path (per-trial,
+# threaded, batched small n, a run across the 2**20-step chunk boundary) and
+# both exact oracles are pinned to the same bytes.
+GOLDEN_CSV = [
+    (("table1", "--steps", "2000", "--trials", "3", "--seed", "42"),
+     "45478bfbbc49608491d67a0e4ef5a1c52c7e5e1448f3af89dde7f7fe06c2fedb"),
+    (("table2", "--rows", "2,10", "--steps", "2000", "--trials", "3", "--seed", "7"),
+     "efb551e5e2675a01ae00fde224fe441c271441368b9b06bf4de02b0085c6f460"),
+    (("simulate", "walkers", "--b", "2,3", "--alphas", "0.5,0.3,0.7", "--steps", "3000",
+      "--trials", "5", "--seed", "9"),
+     "b3df3e19f7a254910ab3c1a101ca8db68d4ecfda933b0f1b118ecb849d6c7eb7"),
+    (("simulate", "walkers", "--b", "1,2", "--alphas", "0.5,0.3", "--steps", "40",
+      "--trials", "300", "--seed", "9"),
+     "43918e0e12b0d2abf65f19c5f2bec6275ce0c299a90ded29122982bd1a1f0f85"),
+    (("simulate", "watchpoints", "--b", "1,2", "--watchpoints", "0,0;1,2;2,1", "--alpha", "0.4",
+      "--steps", "50", "--trials", "300", "--seed", "5"),
+     "d8261241705a6ede2ceaa29695a3e6953c62cacf1fe9496a36dfff26f1814f33"),
+    (("simulate", "watchpoints", "--b", "2,1", "--watchpoints", "0,0;3,1", "--alpha", "0.5",
+      "--steps", "1049576", "--trials", "1", "--seed", "3"),
+     "2dc90209a2205465f19945373d53dfb1b2324ea3f18393fc66668640044cadd2"),
+]
+GOLDEN_EXACT_CSV = [
+    (("exact", "watchpoints", "--b", "1,2", "--watchpoints", "0,0;1,2;2,1", "--alpha", "0.4",
+      "--steps", "200"),
+     "a3878ac1cbba8cc334b9db9ad09aed7e4a0a7da19b857a40bcc569cbf12b491f"),
+    (("exact", "walkers", "--b", "2,3", "--alphas", "0.5,0.3,0.7", "--steps", "200"),
+     "9e2e2932f4daa359b3663b64d1a54fd9fffe24125bbcb0e06e346126ba7de721"),
+]
+
+
+def test_golden_csv_digests():
+    for argv, digest in GOLDEN_CSV:
+        for threads in ("1", "2"):
+            code, out = run_cli(*argv, "--threads", threads)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (argv, threads)
+    for argv, digest in GOLDEN_EXACT_CSV:
+        code, out = run_cli(*argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

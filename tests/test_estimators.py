@@ -152,11 +152,12 @@ def test_threaded_aggregation_identical():
 
 def test_batched_small_n_matches_serial():
     wset = validate_watchpoint_set((1, 2), [(0, 0), (1, 2), (2, 1)])
-    spec = SimulationSpec(wset.b, WatchpointsMode(wset, WalkerConfig(0.5)), 20, 300, 31)
-    theory = density_watchpoints((1, 2), 3)
-    agg = aggregate_trials(spec, theory)  # batched: n <= 64 and T >= 128
-    serial = [_run_trial(spec, t) for t in range(300)]
-    assert [t.visible_count for t in agg.trial_results] == [t.visible_count for t in serial]
+    walkers = (WalkerConfig(0.5), WalkerConfig(0.3), WalkerConfig(0.7))
+    for mode in (WatchpointsMode(wset, WalkerConfig(0.5)), WalkersMode(walkers)):
+        spec = SimulationSpec(wset.b, mode, 20, 300, 31)
+        agg = aggregate_trials(spec, density_watchpoints((1, 2), 3))  # batched: n <= 64
+        serial = [_run_trial(spec, t) for t in range(300)]
+        assert [t.visible_count for t in agg.trial_results] == [t.visible_count for t in serial]
 
 
 def test_monte_carlo_agrees_with_exact_oracle():

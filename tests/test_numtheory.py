@@ -132,6 +132,13 @@ def test_zeta_values():
         zeta_int(1)
 
 
+def test_zeta_int_is_correctly_rounded():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for k in range(2, 81):  # k >= 54 takes the early return of 1.0
+            assert zeta_int(k) == float(mpmath.zeta(k)), k
+
+
 def test_euler_product_raw_inv_zeta2():
     # raw factor 1 - 1/p^2 at kappa=2 needs a large cutoff, so only ask 1e-3
     res = euler_product_truncated(lambda p: 1.0 - 1.0 / p**2, 2, 1e-3, dev_constant=1.0)
