@@ -12,6 +12,7 @@ reproduces the lazy per-step walk bit-for-bit.
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,20 +21,27 @@ import numpy as np
 from scipy.special import gammaln
 
 from .numtheory import BExponent, CapacityError, DensityResult, as_bexp
-from .visibility import WatchpointSet, validate_watchpoint_set, visible_mask
+from .visibility import WatchpointSet, _kernel, validate_watchpoint_set, visible_mask
 from .walk import (
     MASK64,
     WalkerConfig,
     as_walker,
     derive_trial_seed,
+    mix_u64,
     right_threshold,
     splitmix64_block,
+    stream_increments,
 )
 
 #: Largest step count accepted by the exact expectation oracles.
 EXACT_STEP_CAP = 2000
 
 _CHUNK = 1 << 20
+# Points within this reach of the origin keep every kernel table the alive
+# path builds (windows up to twice the largest value) below 2**53, whose
+# square root stays inside MAX_TABLE_ENTRIES.
+_ALIVE_REACH = 1 << 52
+_BYTE_ONES = np.uint64(0x0101010101010101)
 _BATCH_STEP_LIMIT = 64
 _ORIGIN = ((0, 0),)
 
@@ -106,6 +114,92 @@ def _check_steps(points, n: int) -> None:
         )
 
 
+def _moves(seed_col, incs, threshold, z, w, right) -> np.ndarray:
+    """The right moves (a bool per step) of the streams seeded by the uint64
+    column seed_col over one step chunk, a row per seed, written into right.
+    z and w are uint64 scratch of right's shape."""
+    np.add(seed_col, incs, out=z)
+    mix_u64(z, out=w)
+    # (w >> 11) < threshold exactly when w < threshold << 11, as threshold < 2**53
+    return np.less(w, threshold << np.uint64(11), out=right)
+
+
+def _positions(seed_col, incs, threshold, x_prev, z, w, right) -> np.ndarray:
+    """x over one step chunk (see _moves), each row continuing from x_prev
+    (advanced in place), as an int64 view of z; w is free again on return."""
+    x = z.view(np.int64)
+    np.cumsum(_moves(seed_col, incs, threshold, z, w, right), axis=1, dtype=np.int64, out=x)
+    x += x_prev[:, None]
+    x_prev[:] = x[:, -1]
+    return x
+
+
+def _candidates(lo: int, i: np.ndarray, points) -> np.ndarray:
+    """The steps i at which, for some point, s = i - (u + v) is 0 or has a
+    prime p with p**lo | s.  Elsewhere every displacement from every point is
+    visible unless it lies on an axis: an off-axis hidden displacement
+    (dx, dy) has p**lo dividing both, so dx + dy = s."""
+    cand = np.zeros(i.size, dtype=bool)
+    for u, v in points:
+        s = np.abs(i - (u + v))
+        cand |= (_kernel(lo, s) != 1) | (s == 0)
+    return cand
+
+
+def _counts(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running counts of the True entries of a bool array whose length is a
+    multiple of 8: byte t of p[w] counts them in flags[8w : 8w + t + 1] (the
+    bytes of a word, 0 or 1 each, times 0x0101010101010101), and c[w] in
+    flags[: 8w + 8].  Cheaper than a cumsum, which also holds the GIL."""
+    p = (flags.view(np.uint64) * _BYTE_ONES).view(np.int64)
+    return p, np.cumsum(p >> 56)
+
+
+def _count_through(p: np.ndarray, c: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The number of True entries in flags[: k + 1], at each index k."""
+    w = p[k >> 3]
+    return c[k >> 3] - (w >> 56) + ((w >> ((k & 7) << 3)) & 0xFF)
+
+
+def _first_reaching(p: np.ndarray, c: np.ndarray, level: int, true: bool) -> int:
+    """The smallest index whose count of True (with true=False, of False)
+    entries through it reaches level: 0 for a level up to 0, and the padded
+    length when the count never gets there."""
+    if level <= 0:
+        return 0
+
+    def through(w: int) -> int:  # entries of the kind in words 0..w
+        return int(c[w]) if true else 8 * w + 8 - int(c[w])
+
+    w = bisect.bisect_left(range(c.size), level, key=through)
+    if w == c.size:
+        return 8 * w
+    word = int(p[w])
+    before = through(w) - (word >> 56 if true else 8 - (word >> 56))
+    for t in range(7):  # through(w) reaches the level, so by byte 7 at the latest
+        ones = (word >> 8 * t) & 0xFF
+        if before + (ones if true else t + 1 - ones) >= level:
+            return 8 * w + t
+    return 8 * w + 7
+
+
+def _axis_steps(p, c, cnt: int, x0: int, start: int, points, cand) -> np.ndarray:
+    """Offsets into the chunk of the steps off cand at which the walk meets
+    a point's axis (x == u or y == v).  p and c count its right moves over
+    the chunk (see _counts), which follows step start at x = x0.  The walk
+    is at x == u while its count of right moves reaches u - x0 and not yet
+    one more, and at y == v likewise with the up moves."""
+    rights = int(c[-1])
+    runs = [np.zeros(0, dtype=np.int64)]
+    for u, v in points:
+        for true, level, count in ((True, u - x0, rights), (False, v - start + x0, cnt - rights)):
+            if 0 <= level <= count:
+                end = min(_first_reaching(p, c, level + 1, true), cnt)
+                runs.append(np.arange(_first_reaching(p, c, level, true), end))
+    steps = np.concatenate(runs)
+    return steps[~cand[steps]]
+
+
 def _visible_counts(b, trial_seeds: np.ndarray, alphas, points, n: int) -> np.ndarray:
     """Visible-step count of each trial seed over steps 1..n.
 
@@ -113,31 +207,67 @@ def _visible_counts(b, trial_seeds: np.ndarray, alphas, points, n: int) -> np.nd
     derive_trial_seed(trial_seeds[t], 0, j, len(alphas)).  A step counts
     when, for every stream and every point, the stream's position minus the
     point is b-visible.  Work goes in (trial block x step chunk) units of at
-    most _CHUNK steps per stream, each stream's x carrying across chunks.
-    Raises ValueError when a displacement could leave int64.
+    most _CHUNK steps per stream, each stream's x carrying across chunks,
+    with the draws made in place in per-block buffers.
+
+    With several streams, lo = min(b) >= 2 and a block of one trial, stream
+    0 is masked at every step and each later stream only at the steps it
+    could still hide: the alive candidate steps (see _candidates) and its
+    own axis runs off them (see _axis_steps).  The alive set shrinks as the
+    streams hide steps.  Blocks of several trials (the batched small-n
+    path), which measured no faster that way, keep the full-length mask, and
+    so do points farther than _ALIVE_REACH.  Raises ValueError when a
+    displacement could leave int64.
     """
     _check_steps(points, n)
     thresholds = [right_threshold(a) for a in alphas]
+    lo = as_bexp(b).lo
+    prune = (
+        len(thresholds) > 1
+        and lo >= 2
+        and max(abs(u) + abs(v) for u, v in points) + n < _ALIVE_REACH
+    )
     counts = np.zeros(len(trial_seeds), dtype=np.int64)
     block = max(1, _CHUNK // max(n, len(thresholds)))  # bounds the seed and carry matrices too
     for t0 in range(0, len(trial_seeds), block):
         seeds = splitmix64_block(trial_seeds[t0 : t0 + block, None], 0, len(thresholds))
         tb = len(seeds)
+        alive_path = prune and tb == 1
         x_prev = np.zeros(seeds.shape, dtype=np.int64)
+        bufs = np.empty((2, tb * min(n, _CHUNK)), dtype=np.uint64)
+        flags = np.zeros((bufs.shape[1] // 8 + 1) * 8, dtype=bool)  # a False word past the end
         for start in range(0, n, _CHUNK):
             cnt = min(_CHUNK, n - start)
             i = np.arange(start + 1, start + cnt + 1, dtype=np.int64)
+            incs = stream_increments(start, cnt)
+            z, w = bufs[:, : tb * cnt].reshape(2, tb, cnt)
+            r = flags[: tb * cnt].reshape(tb, cnt)
+            y = w.view(np.int64)
             ok = np.ones(tb * cnt, dtype=bool)
-            for j, threshold in enumerate(thresholds):
-                z = splitmix64_block(seeds[:, j, None], start, cnt)
-                z >>= np.uint64(11)
-                x = np.cumsum(z < threshold, axis=1, dtype=np.int64)
-                x += x_prev[:, j, None]
-                x_prev[:, j] = x[:, -1]
-                y = (i - x).ravel()
-                x = x.ravel()
+            for j in range(1 if alive_path else len(thresholds)):
+                x = _positions(seeds[:, j, None], incs, thresholds[j], x_prev[:, j], z, w, r)
+                np.subtract(i, x, out=y)
+                xf, yf = x.ravel(), y.ravel()
                 for u, v in points:
-                    ok &= visible_mask(b, x - u if u else x, y - v if v else y)
+                    ok &= visible_mask(b, xf - u if u else xf, yf - v if v else yf)
+            if alive_path:
+                cand = _candidates(lo, i, points)
+                alive = np.flatnonzero(ok & cand)
+                padded = flags[: (cnt // 8 + 1) * 8]
+                padded[cnt:] = False
+                for j in range(1, len(thresholds)):
+                    _moves(seeds[:, j, None], incs, thresholds[j], z, w, r)
+                    p, c = _counts(padded)
+                    x0 = int(x_prev[0, j])
+                    x_prev[0, j] = x0 + int(c[-1])
+                    idx = np.concatenate((alive, _axis_steps(p, c, cnt, x0, start, points, cand)))
+                    xs = x0 + _count_through(p, c, idx)
+                    ys = idx + (start + 1) - xs
+                    vis = np.ones(idx.size, dtype=bool)
+                    for u, v in points:
+                        vis &= visible_mask(b, xs - u if u else xs, ys - v if v else ys)
+                    ok[idx[~vis]] = False
+                    alive = alive[vis[: alive.size]]
             counts[t0 : t0 + tb] += np.count_nonzero(ok.reshape(tb, cnt), axis=1)
     return counts
 

@@ -7,6 +7,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,8 +120,84 @@ def build_tables(limit: int, max_entries: int = MAX_TABLE_ENTRIES) -> PrimeTable
     return PrimeTables(limit, primes, mobius, spf)
 
 
+def _multiplicity(p: int, x: int) -> int:
+    """The exponent of the prime p in x != 0."""
+    k = 0
+    while x % p == 0:
+        x //= p
+        k += 1
+    return k
+
+
+# Miller-Rabin with these bases decides the primality of every n below
+# _MR_LIMIT (Sorenson and Webster, 2015), so of every 64-bit n.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+_TRIAL_LIMIT = 1 << 10
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n < _MR_LIMIT with no prime factor up to 41."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        y = pow(a, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n, by Brent's variant of Pollard's rho."""
+    for c in itertools.count(1):
+        y = ys = x = 2
+        q = g = r = 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batched product overshot: replay the last batch one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _prime_divisors(n: int) -> set[int]:
+    """Distinct primes of n < _MR_LIMIT, n > 1 with no prime factor below _TRIAL_LIMIT."""
+    if _is_prime(n):
+        return {n}
+    d = _rho_divisor(n)
+    return _prime_divisors(d) | _prime_divisors(n // d)
+
+
 def factorize_distinct(x: int, tables: PrimeTables | None = None) -> Iterator[tuple[int, int]]:
-    """Yield (prime, multiplicity) for x >= 1, via spf walk when in range."""
+    """Yield (prime, multiplicity) for x >= 1 in ascending order of prime.
+
+    Uses the spf walk when x is in range.  Otherwise it trial-divides below
+    _TRIAL_LIMIT, and splits the cofactor with Miller-Rabin and Brent's rho;
+    a cofactor at or past _MR_LIMIT, beyond the reach of those Miller-Rabin
+    bases, is trial-divided on until it falls below it.
+    """
     if x < 1:
         raise ValueError(f"cannot factor {x}")
     if tables is not None and x <= tables.limit:
@@ -133,26 +210,19 @@ def factorize_distinct(x: int, tables: PrimeTables | None = None) -> Iterator[tu
                 k += 1
             yield p, k
         return
-    # trial division fallback; complete for any x
-    for p in (2, 3):
-        if x % p == 0:
-            k = 0
-            while x % p == 0:
-                x //= p
-                k += 1
-            yield p, k
-    d = 5
-    while d * d <= x:
-        for p in (d, d + 2):
-            if x % p == 0:
-                k = 0
-                while x % p == 0:
-                    x //= p
-                    k += 1
-                yield p, k
-        d += 6
-    if x > 1:
-        yield x, 1
+    d = 2
+    while d * d <= x and (d < _TRIAL_LIMIT or x >= _MR_LIMIT):
+        if x % d == 0:
+            k = _multiplicity(d, x)
+            x //= d**k
+            yield d, k
+        d += 1 if d == 2 else 2
+    if d * d > x:
+        if x > 1:
+            yield x, 1
+        return
+    for p in sorted(_prime_divisors(x)):
+        yield p, _multiplicity(p, x)
 
 
 def _pow_divides(p: int, e: int, x: int) -> bool:
@@ -176,25 +246,10 @@ def gcd_b(b, m: int, n: int, tables: PrimeTables | None = None) -> int:
         return math.prod(p ** (k // bb.b2) for p, k in factorize_distinct(n, tables))
     if n == 0:
         return math.prod(p ** (k // bb.b1) for p, k in factorize_distinct(m, tables))
-    # factor the smaller side; any contributing prime divides both
-    if m <= n:
-        small, e_small, other, e_other = m, bb.b1, n, bb.b2
-    else:
-        small, e_small, other, e_other = n, bb.b2, m, bb.b1
+    # a contributing prime divides both arguments, so only their gcd is factored
     g = 1
-    for p, k in factorize_distinct(small, tables):
-        e1 = k // e_small
-        if e1 == 0:
-            continue
-        k2 = 0
-        o = other
-        while o % p == 0:
-            o //= p
-            k2 += 1
-        e2 = k2 // e_other
-        if e2 == 0:
-            continue
-        g *= p ** min(e1, e2)
+    for p, _ in factorize_distinct(math.gcd(m, n), tables):
+        g *= p ** min(_multiplicity(p, m) // bb.b1, _multiplicity(p, n) // bb.b2)
     return g
 
 

@@ -94,22 +94,43 @@ def walk_positions(cfg, seed: int, n: int) -> Iterator[LatticePoint]:
         yield LatticePoint(x, y)
 
 
-def mix_u64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 output finalizer on a uint64 array of any shape."""
+def mix_u64(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 output finalizer on a uint64 array of any shape.
+
+    With ``out``, a uint64 array of z's shape that does not overlap it, the
+    result goes there and z serves as scratch: both are overwritten and
+    nothing is allocated.  Without it, z is left as it was.
+    """
+    if out is None:
+        z = np.array(z, dtype=np.uint64)
+        out = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        np.right_shift(z, np.uint64(30), out=out)
+        out ^= z
+        out *= np.uint64(_MIX1)
+        np.right_shift(out, np.uint64(27), out=z)
+        out ^= z
+        out *= np.uint64(_MIX2)
+        np.right_shift(out, np.uint64(31), out=z)
+        out ^= z
+    return out
+
+
+def stream_increments(start: int, count: int) -> np.ndarray:
+    """(start+1 .. start+count) * GOLDEN_GAMMA mod 2**64 as uint64: added to a
+    seed, the SplitMix64 states of that window of its stream."""
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        idx *= np.uint64(GOLDEN_GAMMA)
+    return idx
 
 
 def splitmix64_block(seed: int, start: int, count: int) -> np.ndarray:
     """Outputs start+1 .. start+count of the stream seeded by ``seed``, a row
     per seed when ``seed`` is a uint64 column, as a uint64 array;
     bit-identical to stepping splitmix64_next."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        state = np.asarray(seed & MASK64, dtype=np.uint64) + idx * np.uint64(GOLDEN_GAMMA)
-    return mix_u64(state)
+    state = np.asarray(seed & MASK64, dtype=np.uint64) + stream_increments(start, count)
+    return mix_u64(state, out=np.empty_like(state))
 
 
 def uniform_block(seed: int, start: int, count: int) -> np.ndarray:

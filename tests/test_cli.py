@@ -2,7 +2,10 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +161,25 @@ def test_simulate_watchpoints_with_large_coprime_coordinates():
     assert csv_rows(out)[1][-1][0] == "aggregate"
 
 
+def test_watchpoints_with_huge_prime_gcd_exit_promptly():
+    # gcd(dx, dy) is the prime 2**61 - 1: validation factors it at once, so
+    # the pair is rejected as not mutually visible at b = (1, 1) (exit 3)
+    # in a fresh process killed after 20 s
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = ["simulate", "watchpoints", "--b", "1,1",
+            "--watchpoints", "0,0;4611686018427387902,6917529027641081853",
+            "--alpha", "0.5", "--steps", "10", "--trials", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"from walkvis.cli import main; raise SystemExit(main({argv!r}))"],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "not mutually visible" in proc.stderr
+    # at b = (1, 2) the same pair is visible: (2**61 - 1)**2 does not divide dy
+    assert is_b_visible((1, 2), (0, 0), (4611686018427387902, 6917529027641081853))
+
+
 def test_simulate_single_step_proportion_binary():
     for seed in ("1", "2", "3", "0x10"):
         code, out = run_cli(
@@ -301,6 +323,19 @@ GOLDEN_CSV = [
     (("simulate", "watchpoints", "--b", "2,1", "--watchpoints", "0,0;3,1", "--alpha", "0.5",
       "--steps", "1049576", "--trials", "1", "--seed", "3"),
      "2dc90209a2205465f19945373d53dfb1b2324ea3f18393fc66668640044cadd2"),
+    # several walkers at lo = min(b) >= 2: the alive-step engine, the hi
+    # exponent on y and on x, a batched multi-stream block, and walkers
+    # across the 2**20-step chunk boundary
+    (("table2", "--rows", "100,1000", "--steps", "3000", "--trials", "2", "--seed", "11"),
+     "ad5cfed86c4bbe5e56cdb2b335168967db51f341fe0913f45805511ac1a2fb55"),
+    (("table2", "--b", "3,2", "--rows", "10,100", "--steps", "2000", "--trials", "2", "--seed", "12"),
+     "ebf8281f4d5ef0abb19565bc7a4ee904f5732da0e568dce8e6ea03ec63ab0af1"),
+    (("simulate", "walkers", "--b", "2,5", "--alphas", "0.5,0.3,0.7,0.45,0.6", "--steps", "60",
+      "--trials", "500", "--seed", "13"),
+     "6e326c1391b4d6782d4141c2a8a4c7eb0d57638e234132b48a75ac655dbdc6f1"),
+    (("simulate", "walkers", "--b", "2,3", "--alphas", "0.5,0.3,0.7", "--steps", "1049000",
+      "--trials", "2", "--seed", "17"),
+     "6bbe1c4b067506a23d1e9a525f7a29987370775e8a9703bbfd1e845d312fcffb"),
 ]
 GOLDEN_EXACT_CSV = [
     (("exact", "watchpoints", "--b", "1,2", "--watchpoints", "0,0;1,2;2,1", "--alpha", "0.4",

@@ -1,14 +1,19 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import walkvis.estimators
 from walkvis.estimators import (
     EXACT_STEP_CAP,
     SimulationSpec,
     WalkersMode,
     WatchpointsMode,
     _run_trial,
+    _visible_counts,
     aggregate_trials,
     exact_expectation_walkers,
     exact_expectation_watchpoints,
@@ -18,7 +23,7 @@ from walkvis.estimators import (
 from walkvis.numtheory import CapacityError
 from walkvis.theory import density_walkers, density_watchpoints
 from walkvis.visibility import is_b_visible, validate_watchpoint_set
-from walkvis.walk import WalkerConfig
+from walkvis.walk import WalkerConfig, derive_trial_seed, walk_positions
 
 
 def exact_mean_by_enumeration(b, points, alpha, n):
@@ -186,3 +191,61 @@ def test_walkers_mode_spec_roundtrip():
         WalkersMode(())
     with pytest.raises(ValueError):
         SimulationSpec(spec.b, spec.mode, 0, 1, 0)
+
+
+def scalar_counts(b, trial_seeds, alphas, points, n):
+    """Independent recount of _visible_counts: each stream walked step by step
+    with walk_positions, each displacement checked with is_b_visible."""
+    counts = []
+    for seed in trial_seeds:
+        walks = [
+            list(walk_positions(a, derive_trial_seed(seed, 0, j, len(alphas)), n))
+            for j, a in enumerate(alphas)
+        ]
+        counts.append(sum(
+            all(pos[i] != w and is_b_visible(b, pos[i], w) for pos in walks for w in points)
+            for i in range(n)
+        ))
+    return counts
+
+
+@st.composite
+def engine_cases(draw):
+    b = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (2, 5), (3, 4)]))
+    alphas = draw(st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]), min_size=1, max_size=5))
+    n = draw(st.integers(1, 200))
+    # near the walk, so that axis runs and steps with i == u + v occur
+    coord = st.integers(-30, n + 30)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=3, unique=True))
+    # one seed takes the per-trial block, several a batched block
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=max(1, min(100, 1500 // n))))
+    return b, alphas, points, n, seeds
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_cases())
+def test_visible_counts_matches_scalar_walk(case):
+    b, alphas, points, n, seeds = case
+    got = _visible_counts(b, np.array(seeds, dtype=np.uint64), alphas, points, n)
+    assert got.tolist() == scalar_counts(b, seeds, alphas, points, n)
+
+
+def test_visible_counts_at_steps_with_zero_displacement_sum():
+    # from (16, 0) or (8, 8), step 16 has dx + dy = 0, and p**lo divides 0 for
+    # every p: a later walker at (8, 8) or (16, 0) can hide it
+    alphas = (0.9, 0.5, 0.9)
+    for points in ([(16, 0)], [(8, 8)], [(0, 0), (16, 0)]):
+        for seed in range(40):
+            got = _visible_counts((2, 3), np.array([seed], dtype=np.uint64), alphas, points, 40)
+            assert got.tolist() == scalar_counts((2, 3), [seed], alphas, points, 40), (points, seed)
+
+
+def test_visible_counts_across_chunks(monkeypatch):
+    # small chunks: each walker's x carries over, and axis runs and steps
+    # with i == u + v fall in later chunks
+    monkeypatch.setattr(walkvis.estimators, "_CHUNK", 40)
+    points = [(0, 0), (60, 30), (45, 45), (20, 70)]
+    for b in ((2, 3), (3, 2), (1, 2)):
+        for seed in range(6):
+            got = _visible_counts(b, np.array([seed], dtype=np.uint64), (0.5, 0.6, 0.4), points, 150)
+            assert got.tolist() == scalar_counts(b, [seed], (0.5, 0.6, 0.4), points, 150), (b, seed)

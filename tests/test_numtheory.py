@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from walkvis.numtheory import (
     as_bexp,
     build_tables,
     euler_product_truncated,
+    factorize_distinct,
     gcd_b,
     zeta_int,
 )
@@ -119,6 +124,46 @@ def test_gcd_b_matches_brute_force_random():
             continue
         b = pairs[z3 % len(pairs)]
         assert gcd_b(b, m, n, tables) == gcd_b_bruteforce(b, m, n)
+
+
+def run_with_time_limit(code, seconds=20):
+    """Run python code in a fresh process that is killed after ``seconds``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=seconds, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_factorize_distinct_past_trial_division():
+    # cofactors with no prime below 2**10 go to Miller-Rabin and Brent's rho
+    m61 = 2**61 - 1
+    cases = {
+        m61: [(m61, 1)],
+        2 * m61: [(2, 1), (m61, 1)],
+        4 * 1000003 * (2**31 - 1) ** 2: [(2, 2), (1000003, 1), (2**31 - 1, 2)],
+        999983 * 1000003 * (2**31 - 1): [(999983, 1), (1000003, 1), (2**31 - 1, 1)],
+        1031**2 * 1033 * 999983**2: [(1031, 2), (1033, 1), (999983, 2)],
+        3215031751: [(151, 1), (751, 1), (28351, 1)],  # strong pseudoprime to bases 2, 3, 5, 7
+    }
+    for x, want in cases.items():
+        assert list(factorize_distinct(x)) == want, x
+    state = 7
+    for _ in range(300):
+        z, state = splitmix64_next(state)
+        x = z % 10 ** (1 + z % 12) + 1
+        assert list(factorize_distinct(x)) == sorted(factor_slow(x).items()), x
+
+
+def test_gcd_b_of_huge_coprime_pair_is_fast():
+    # gcd_b factors gcd(m, n) = 1, not the 19-digit smaller argument
+    out = run_with_time_limit(
+        "from walkvis.numtheory import gcd_b\n"
+        "print(gcd_b((1, 1), 4000000000000000037, 4000000000000000091))"
+    )
+    assert out.strip() == "1"
 
 
 def test_zeta_values():
