@@ -2,6 +2,10 @@
 and the built-in reference tables, emitted as CSV (data only, byte-stable)
 or JSON (full record including timing).
 
+Each subcommand is one row of ``COMMANDS``: its flags, and a handler that
+returns (columns, rows, exit code); ``main`` times the handler and builds the
+record, whose ``parameters`` are the row's recorded flags.
+
 Exit codes: 0 success, 2 argument/domain error, 3 invalid watchpoint set,
 4 budget or capacity exceeded, 5 verification failure.
 """
@@ -15,6 +19,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .estimators import (
     SimulationSpec,
@@ -139,7 +144,10 @@ def _check_budget(total_steps: int, budget: int) -> None:
         )
 
 
-def _aggregate_rows(agg) -> list[list]:
+def _simulate(args, mode, theory, walker_steps: int):
+    _check_budget(walker_steps, args.budget)
+    spec = SimulationSpec(args.b, mode, args.steps, args.trials, args.seed)
+    agg = aggregate_trials(spec, theory, threads=args.threads)
     rows = [
         ["trial", t.trial_index, t.visible_count, t.proportion, None, None, None]
         for t in agg.trial_results
@@ -147,137 +155,49 @@ def _aggregate_rows(agg) -> list[list]:
     rows.append(
         ["aggregate", None, None, agg.mean_proportion, agg.sample_std, agg.theory.value, agg.abs_deviation]
     )
-    return rows
+    return ["record", "trial", "visible_count", "proportion", "sample_std", "theory_value", "abs_deviation"], rows, 0
 
 
-_AGG_COLUMNS = ["record", "trial", "visible_count", "proportion", "sample_std", "theory_value", "abs_deviation"]
+def _simulate_watchpoints(args):
+    wset = validate_watchpoint_set(args.b, args.watchpoints)
+    mode = WatchpointsMode(wset, WalkerConfig(args.alpha))
+    theory = density_watchpoints(args.b, wset.size, args.tol)
+    return _simulate(args, mode, theory, args.steps * args.trials)
 
 
-def cmd_density(args) -> int:
-    t0 = time.perf_counter()
-    if args.mode == "watchpoints":
-        res = density_watchpoints(args.b, args.J, args.tol)
-        params = {"b": [args.b.b1, args.b.b2], "J": args.J, "tol": args.tol}
-    else:
-        res = density_walkers(args.b, args.r, args.tol)
-        params = {"b": [args.b.b1, args.b.b2], "r": args.r, "tol": args.tol}
-    rec = OutputRecord(
-        command=f"density {args.mode}",
-        parameters=params,
-        columns=["value", "prime_cutoff", "tail_bound"],
-        rows=[[res.value, res.prime_cutoff, res.tail_bound]],
-        timing=time.perf_counter() - t0,
-    )
-    _emit(rec, args.format)
-    return 0
+def _simulate_walkers(args):
+    mode = WalkersMode(tuple(WalkerConfig(a) for a in args.alphas))
+    theory = density_walkers(args.b, len(mode.alphas), args.tol)
+    return _simulate(args, mode, theory, len(mode.alphas) * args.steps * args.trials)
 
 
-def _make_spec(args) -> tuple[SimulationSpec, object]:
-    if args.mode == "watchpoints":
-        wset = validate_watchpoint_set(args.b, args.watchpoints)
-        mode = WatchpointsMode(wset, WalkerConfig(args.alpha))
-        theory = density_watchpoints(args.b, wset.size, args.tol)
-        _check_budget(args.steps * args.trials, args.budget)
-    else:
-        alphas = tuple(WalkerConfig(a) for a in args.alphas)
-        mode = WalkersMode(alphas)
-        theory = density_walkers(args.b, len(alphas), args.tol)
-        _check_budget(len(alphas) * args.steps * args.trials, args.budget)
-    return SimulationSpec(args.b, mode, args.steps, args.trials, args.seed), theory
+def _density(res):
+    return ["value", "prime_cutoff", "tail_bound"], [[res.value, res.prime_cutoff, res.tail_bound]], 0
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
-    spec, theory = _make_spec(args)
-    agg = aggregate_trials(spec, theory, threads=args.threads)
-    params = {
-        "b": [args.b.b1, args.b.b2],
-        "steps": args.steps,
-        "trials": args.trials,
-    }
-    if args.mode == "watchpoints":
-        params["watchpoints"] = [list(p) for p in args.watchpoints]
-        params["alpha"] = args.alpha
-    else:
-        params["alphas"] = list(args.alphas)
-    rec = OutputRecord(
-        command=f"simulate {args.mode}",
-        parameters=params,
-        columns=_AGG_COLUMNS,
-        rows=_aggregate_rows(agg),
-        seed=args.seed,
-        timing=time.perf_counter() - t0,
-    )
-    _emit(rec, args.format)
-    return 0
+def _exact(args, value: float):
+    return ["steps", "expectation"], [[args.steps, value]], 0
 
 
-def cmd_exact(args) -> int:
-    t0 = time.perf_counter()
-    if args.mode == "watchpoints":
-        wset = validate_watchpoint_set(args.b, args.watchpoints)
-        value = exact_expectation_watchpoints(args.b, wset, args.alpha, args.steps)
-        params = {
-            "b": [args.b.b1, args.b.b2],
-            "watchpoints": [list(p) for p in args.watchpoints],
-            "alpha": args.alpha,
-            "steps": args.steps,
-        }
-    else:
-        value = exact_expectation_walkers(args.b, args.alphas, args.steps)
-        params = {"b": [args.b.b1, args.b.b2], "alphas": list(args.alphas), "steps": args.steps}
-    rec = OutputRecord(
-        command=f"exact {args.mode}",
-        parameters=params,
-        columns=["steps", "expectation"],
-        rows=[[args.steps, value]],
-        timing=time.perf_counter() - t0,
-    )
-    _emit(rec, args.format)
-    return 0
+def _exact_watchpoints(args):
+    wset = validate_watchpoint_set(args.b, args.watchpoints)
+    return _exact(args, exact_expectation_watchpoints(args.b, wset, args.alpha, args.steps))
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    if args.check == "gcd-properties":
-        results = check_gcd_properties(samples=args.samples)
-        params = {"samples": args.samples}
-    elif args.check == "visibility-oracle":
-        results = check_visibility_oracle(args.b, args.box)
-        params = {"b": [args.b.b1, args.b.b2], "box": args.box}
-    elif args.check == "congruence-sum":
-        results = check_congruence_sum(args.alpha, args.n, args.d, args.threshold)
-        params = {"alpha": args.alpha, "n": args.n, "d": args.d, "threshold": args.threshold}
-    else:  # mean-value
-        if args.kind == "walker-moment" and args.r is None:
-            raise ValueError("--kind walker-moment needs --r")
-        if args.kind == "watchpoints-shifted" and not args.shifts:
-            raise ValueError("--kind watchpoints-shifted needs --shifts")
-        if args.J is not None and args.shifts is not None and args.J != len(args.shifts):
-            raise ValueError(f"--J {args.J} disagrees with {len(args.shifts)} shifts")
-        results = check_mean_value(args.kind, args.b, args.x, r=args.r, shifts=args.shifts)
-        params = {
-            "kind": args.kind,
-            "b": [args.b.b1, args.b.b2],
-            "x": args.x,
-            "r": args.r,
-            "shifts": args.shifts,
-        }
-    rec = OutputRecord(
-        command=f"verify {args.check}",
-        parameters=params,
-        columns=["check", "status", "measured"],
-        rows=[[r.name, "PASS" if r.passed else "FAIL", r.measured] for r in results],
-        timing=time.perf_counter() - t0,
-    )
-    _emit(rec, args.format)
-    return 0 if all(r.passed for r in results) else 5
+def _checks(results):
+    rows = [[r.name, "PASS" if r.passed else "FAIL", r.measured] for r in results]
+    return ["check", "status", "measured"], rows, 0 if all(r.passed for r in results) else 5
 
 
-def cmd_table1(args) -> int:
+def _verify_mean_value(args):
+    if args.J is not None and args.shifts is not None and args.J != len(args.shifts):
+        raise ValueError(f"--J {args.J} disagrees with {len(args.shifts)} shifts")
+    return _checks(check_mean_value(args.kind, args.b, args.x, r=args.r, shifts=args.shifts))
+
+
+def _table1(args):
     """The eight-row watchpoint table: simulated means at alpha 0.5 and 0.3
     against the limiting density for W = {(0,0), (1,2), (2,1)}."""
-    t0 = time.perf_counter()
     _check_budget(len(TABLE1_BS) * 2 * args.steps * args.trials, args.budget)
     rows = []
     for idx, bpair in enumerate(TABLE1_BS):
@@ -293,43 +213,24 @@ def cmd_table1(args) -> int:
             [b.b1, b.b2, means[0], means[1], theory.value,
              abs(means[0] - theory.value), abs(means[1] - theory.value)]
         )
-    rec = OutputRecord(
-        command="table1",
-        parameters={"steps": args.steps, "trials": args.trials},
-        columns=["b1", "b2", "numerical_alpha_0.5", "numerical_alpha_0.3", "theoretical",
-                 "abs_dev_alpha_0.5", "abs_dev_alpha_0.3"],
-        rows=rows,
-        seed=args.seed,
-        timing=time.perf_counter() - t0,
-    )
-    _emit(rec, args.format)
-    return 0
+    columns = ["b1", "b2", "numerical_alpha_0.5", "numerical_alpha_0.3", "theoretical",
+               "abs_dev_alpha_0.5", "abs_dev_alpha_0.3"]
+    return columns, rows, 0
 
 
-def cmd_table2(args) -> int:
+def _table2(args):
     """The multi-walker table: simulated means (all walkers at alpha 0.5)
     against the limiting density, one row per walker count."""
-    t0 = time.perf_counter()
-    b = args.b
-    counts = args.rows
-    _check_budget(sum(counts) * args.steps * args.trials, args.budget)
+    _check_budget(sum(args.rows) * args.steps * args.trials, args.budget)
     rows = []
-    for idx, r in enumerate(counts):
-        theory = density_walkers(b, r, args.tol)
+    for idx, r in enumerate(args.rows):
+        theory = density_walkers(args.b, r, args.tol)
         sub_seed = derive_trial_seed(args.seed, idx, 0, 1)
-        spec = SimulationSpec(b, WalkersMode(tuple(WalkerConfig(0.5) for _ in range(r))), args.steps, args.trials, sub_seed)
-        agg = aggregate_trials(spec, theory, threads=args.threads)
+        mode = WalkersMode(tuple(WalkerConfig(0.5) for _ in range(r)))
+        agg = aggregate_trials(SimulationSpec(args.b, mode, args.steps, args.trials, sub_seed), theory,
+                               threads=args.threads)
         rows.append([r, agg.mean_proportion, theory.value, agg.abs_deviation])
-    rec = OutputRecord(
-        command="table2",
-        parameters={"b": [b.b1, b.b2], "steps": args.steps, "trials": args.trials, "rows": counts},
-        columns=["r", "numerical", "theoretical", "abs_deviation"],
-        rows=rows,
-        seed=args.seed,
-        timing=time.perf_counter() - t0,
-    )
-    _emit(rec, args.format)
-    return 0
+    return ["r", "numerical", "theoretical", "abs_deviation"], rows, 0
 
 
 def _default_threads() -> int:
@@ -339,15 +240,84 @@ def _default_threads() -> int:
         return os.cpu_count() or 1
 
 
-def _add_common(p, *, seed=True):
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="density tolerance")
-    if seed:
-        p.add_argument("--seed", type=_parse_seed, default=1)
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker threads (default: the CPUs this process may run on)")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="cap on total walker-steps (r*steps*trials)")
+class Flag(NamedTuple):
+    name: str
+    kwargs: dict
+    recorded: bool = True  # listed in the JSON record's parameters
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-")
+
+
+def _flag(name: str, recorded: bool = True, **kwargs) -> Flag:
+    return Flag(name, kwargs, recorded)
+
+
+B = _flag("--b", type=_parse_b, required=True)
+WATCHPOINTS = _flag("--watchpoints", type=_parse_watchpoints, required=True)
+ALPHA = _flag("--alpha", type=float, required=True)
+ALPHAS = _flag("--alphas", type=_parse_alphas, required=True)
+STEPS = _flag("--steps", type=int, required=True)
+TRIALS = _flag("--trials", type=int, required=True)
+FORMAT = _flag("--format", recorded=False, choices=("csv", "json"), default="csv")
+TOL = _flag("--tol", type=float, default=DEFAULT_TOL, help="density tolerance")
+# seeded Monte Carlo commands; the seed goes into the record's own field
+RUN = (
+    _flag("--seed", recorded=False, type=_parse_seed, default=1),
+    _flag("--threads", recorded=False, type=int, default=_default_threads(),
+          help="worker threads (default: the CPUs this process may run on)"),
+    _flag("--budget", recorded=False, type=int, default=DEFAULT_BUDGET,
+          help="cap on total walker-steps (r*steps*trials)"),
+)
+# the reference tables' run size
+TABLE_RUN = (_flag("--steps", type=int, default=100_000), _flag("--trials", type=int, default=10), FORMAT, TOL, *RUN)
+
+
+class Command(NamedTuple):
+    name: str  # "<group> <mode>", or a top-level subcommand
+    flags: tuple[Flag, ...]
+    handler: Callable  # args -> (columns, rows, exit code)
+    help: str | None = None
+
+
+# group -> (dest of its mode, help)
+GROUPS = {
+    "density": ("mode", "limiting densities"),
+    "simulate": ("mode", "seeded Monte Carlo runs"),
+    "exact": ("mode", "exact small-n expectations"),
+    "verify": ("check", "property and identity checks"),
+}
+COMMANDS = (
+    Command("density watchpoints", (B, _flag("--J", type=int, required=True, help="number of watchpoints"),
+                                    FORMAT, TOL),
+            lambda a: _density(density_watchpoints(a.b, a.J, a.tol))),
+    Command("density walkers", (B, _flag("--r", type=int, required=True, help="number of walkers"), FORMAT, TOL),
+            lambda a: _density(density_walkers(a.b, a.r, a.tol))),
+    Command("simulate watchpoints", (B, WATCHPOINTS, ALPHA, STEPS, TRIALS, FORMAT, TOL, *RUN), _simulate_watchpoints),
+    Command("simulate walkers", (B, ALPHAS, STEPS, TRIALS, FORMAT, TOL, *RUN), _simulate_walkers),
+    Command("exact watchpoints", (B, WATCHPOINTS, ALPHA, STEPS, FORMAT), _exact_watchpoints),
+    Command("exact walkers", (B, ALPHAS, STEPS, FORMAT),
+            lambda a: _exact(a, exact_expectation_walkers(a.b, a.alphas, a.steps))),
+    Command("verify gcd-properties", (_flag("--samples", type=int, default=10_000), FORMAT),
+            lambda a: _checks(check_gcd_properties(samples=a.samples))),
+    Command("verify visibility-oracle", (B, _flag("--box", type=int, default=40), FORMAT),
+            lambda a: _checks(check_visibility_oracle(a.b, a.box))),
+    Command("verify congruence-sum",
+            (ALPHA, _flag("--n", type=int, required=True), _flag("--d", type=int, required=True),
+             _flag("--threshold", type=float, default=0.01), FORMAT),
+            lambda a: _checks(check_congruence_sum(a.alpha, a.n, a.d, a.threshold))),
+    Command("verify mean-value",
+            (_flag("--kind", choices=("walker-moment", "watchpoints-shifted"), required=True), B,
+             _flag("--x", type=int, required=True), _flag("--r", type=int, default=None),
+             _flag("--J", type=int, default=None, help="consistency check against len(shifts)"),
+             _flag("--shifts", type=_parse_ints, default=None), FORMAT),
+            _verify_mean_value),
+    Command("table1", TABLE_RUN, _table1, help="watchpoint reference table (8 rows)"),
+    Command("table2", (_flag("--b", type=_parse_b, default=BExponent(2, 3)),
+                       _flag("--rows", type=_parse_ints, default=TABLE2_ROWS), *TABLE_RUN),
+            _table2, help="multi-walker reference table"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,96 +326,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generalized lattice-point visibility: densities, seeded walk simulation, verification.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("density", help="limiting densities")
-    dm = p.add_subparsers(dest="mode", required=True)
-    dw = dm.add_parser("watchpoints")
-    dw.add_argument("--b", type=_parse_b, required=True)
-    dw.add_argument("--J", type=int, required=True, help="number of watchpoints")
-    _add_common(dw, seed=False)
-    dw.set_defaults(func=cmd_density)
-    dk = dm.add_parser("walkers")
-    dk.add_argument("--b", type=_parse_b, required=True)
-    dk.add_argument("--r", type=int, required=True, help="number of walkers")
-    _add_common(dk, seed=False)
-    dk.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("simulate", help="seeded Monte Carlo runs")
-    sm = p.add_subparsers(dest="mode", required=True)
-    sw = sm.add_parser("watchpoints")
-    sw.add_argument("--b", type=_parse_b, required=True)
-    sw.add_argument("--watchpoints", type=_parse_watchpoints, required=True)
-    sw.add_argument("--alpha", type=float, required=True)
-    sw.add_argument("--steps", type=int, required=True)
-    sw.add_argument("--trials", type=int, required=True)
-    _add_common(sw)
-    sw.set_defaults(func=cmd_simulate)
-    sk = sm.add_parser("walkers")
-    sk.add_argument("--b", type=_parse_b, required=True)
-    sk.add_argument("--alphas", type=_parse_alphas, required=True)
-    sk.add_argument("--steps", type=int, required=True)
-    sk.add_argument("--trials", type=int, required=True)
-    _add_common(sk)
-    sk.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("exact", help="exact small-n expectations")
-    em = p.add_subparsers(dest="mode", required=True)
-    ew = em.add_parser("watchpoints")
-    ew.add_argument("--b", type=_parse_b, required=True)
-    ew.add_argument("--watchpoints", type=_parse_watchpoints, required=True)
-    ew.add_argument("--alpha", type=float, required=True)
-    ew.add_argument("--steps", type=int, required=True)
-    _add_common(ew, seed=False)
-    ew.set_defaults(func=cmd_exact)
-    ek = em.add_parser("walkers")
-    ek.add_argument("--b", type=_parse_b, required=True)
-    ek.add_argument("--alphas", type=_parse_alphas, required=True)
-    ek.add_argument("--steps", type=int, required=True)
-    _add_common(ek, seed=False)
-    ek.set_defaults(func=cmd_exact)
-
-    p = sub.add_parser("verify", help="property and identity checks")
-    vm = p.add_subparsers(dest="check", required=True)
-    vg = vm.add_parser("gcd-properties")
-    vg.add_argument("--samples", type=int, default=10_000)
-    _add_common(vg, seed=False)
-    vg.set_defaults(func=cmd_verify)
-    vo = vm.add_parser("visibility-oracle")
-    vo.add_argument("--b", type=_parse_b, required=True)
-    vo.add_argument("--box", type=int, default=40)
-    _add_common(vo, seed=False)
-    vo.set_defaults(func=cmd_verify)
-    vc = vm.add_parser("congruence-sum")
-    vc.add_argument("--alpha", type=float, required=True)
-    vc.add_argument("--n", type=int, required=True)
-    vc.add_argument("--d", type=int, required=True)
-    vc.add_argument("--threshold", type=float, default=0.01)
-    _add_common(vc, seed=False)
-    vc.set_defaults(func=cmd_verify)
-    vv = vm.add_parser("mean-value")
-    vv.add_argument("--kind", choices=("walker-moment", "watchpoints-shifted"), required=True)
-    vv.add_argument("--b", type=_parse_b, required=True)
-    vv.add_argument("--x", type=int, required=True)
-    vv.add_argument("--r", type=int, default=None)
-    vv.add_argument("--J", type=int, default=None, help="consistency check against len(shifts)")
-    vv.add_argument("--shifts", type=_parse_ints, default=None)
-    _add_common(vv, seed=False)
-    vv.set_defaults(func=cmd_verify)
-
-    p1 = sub.add_parser("table1", help="watchpoint reference table (8 rows)")
-    p1.add_argument("--steps", type=int, default=100_000)
-    p1.add_argument("--trials", type=int, default=10)
-    _add_common(p1)
-    p1.set_defaults(func=cmd_table1)
-
-    p2 = sub.add_parser("table2", help="multi-walker reference table")
-    p2.add_argument("--b", type=_parse_b, default=BExponent(2, 3))
-    p2.add_argument("--rows", type=_parse_ints, default=TABLE2_ROWS)
-    p2.add_argument("--steps", type=int, default=100_000)
-    p2.add_argument("--trials", type=int, default=10)
-    _add_common(p2)
-    p2.set_defaults(func=cmd_table2)
-
+    modes = {}
+    for cmd in COMMANDS:
+        group, _, mode = cmd.name.partition(" ")
+        if not mode:
+            p = sub.add_parser(group, help=cmd.help)
+        else:
+            if group not in modes:
+                dest, help_ = GROUPS[group]
+                modes[group] = sub.add_parser(group, help=help_).add_subparsers(dest=dest, required=True)
+            p = modes[group].add_parser(mode)
+        for flag in cmd.flags:
+            p.add_argument(flag.name, **flag.kwargs)
+        p.set_defaults(func=cmd)
     return ap
 
 
@@ -463,14 +356,30 @@ def _keep_freed_memory() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MB free at the heap top
 
 
+def _json_value(v):
+    return [v.b1, v.b2] if isinstance(v, BExponent) else v
+
+
 def main(argv=None) -> int:
     _keep_freed_memory()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:  # argparse exits 2 on bad flags; keep main() returning
         return int(e.code or 0)
+    cmd = args.func
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        columns, rows, code = cmd.handler(args)
+        rec = OutputRecord(
+            command=cmd.name,
+            parameters={f.dest: _json_value(getattr(args, f.dest)) for f in cmd.flags if f.recorded},
+            columns=columns,
+            rows=rows,
+            seed=getattr(args, "seed", None),
+            timing=time.perf_counter() - t0,
+        )
+        _emit(rec, args.format)
+        return code
     except WatchpointValidationError as e:
         print(f"invalid watchpoint set: {e}", file=sys.stderr)
         return 3

@@ -331,8 +331,7 @@ def aggregate_trials(spec: SimulationSpec, theory: DensityResult, threads: int =
         results = [TrialResult(t, c, spec.steps) for t, c in enumerate(counts.tolist())]
     elif threads > 1 and T > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: _run_trial(spec, t), range(T)))
-        results.sort(key=lambda r: r.trial_index)
+            results = list(pool.map(lambda t: _run_trial(spec, t), range(T)))  # map keeps input order
     else:
         results = [_run_trial(spec, t) for t in range(T)]
 

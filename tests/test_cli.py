@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from walkvis.cli import build_parser, main
-from walkvis.numtheory import build_tables
+from walkvis.numtheory import BExponent, build_tables
 from walkvis.theory import density_walkers, density_watchpoints
 from walkvis.visibility import is_b_visible
 from walkvis.walk import derive_trial_seed, walk_positions
@@ -356,3 +356,132 @@ def test_golden_csv_digests():
         code, out = run_cli(*argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# One minimal argv per leaf subcommand: the namespace the parser gives it
+# (handler aside) and the JSON record it prints. `exact` and `verify` take no
+# --tol: no density is computed there.
+THREADS = len(os.sched_getaffinity(0))
+MC_DEFAULTS = {"format": "csv", "tol": 1e-09, "seed": 1, "threads": THREADS, "budget": 4000000000}
+AGG_COLUMNS = ["record", "trial", "visible_count", "proportion", "sample_std", "theory_value", "abs_deviation"]
+CHECK_COLUMNS = ["check", "status", "measured"]
+SURFACE = [
+    (["density", "watchpoints", "--b", "1,2", "--J", "3"],
+     {"command": "density", "mode": "watchpoints", "b": BExponent(1, 2), "J": 3, "format": "csv", "tol": 1e-09},
+     {"command": "density watchpoints", "seed": None, "parameters": {"b": [1, 2], "J": 3, "tol": 1e-09},
+      "columns": ["value", "prime_cutoff", "tail_bound"],
+      "rows": [[0.5345668720928765, 97, 8.384435441615226e-10]]}),
+    (["density", "walkers", "--b", "2,3", "--r", "5"],
+     {"command": "density", "mode": "walkers", "b": BExponent(2, 3), "r": 5, "format": "csv", "tol": 1e-09},
+     {"command": "density walkers", "seed": None, "parameters": {"b": [2, 3], "r": 5, "tol": 1e-09},
+      "columns": ["value", "prime_cutoff", "tail_bound"],
+      "rows": [[0.8597915899367796, 31, 7.788635184616618e-10]]}),
+    (["simulate", "watchpoints", "--b", "1,2", "--watchpoints", "0,0;1,2;2,1", "--alpha", "0.5",
+      "--steps", "50", "--trials", "2"],
+     {"command": "simulate", "mode": "watchpoints", "b": BExponent(1, 2), "watchpoints": [(0, 0), (1, 2), (2, 1)],
+      "alpha": 0.5, "steps": 50, "trials": 2, **MC_DEFAULTS},
+     {"command": "simulate watchpoints", "seed": 1,
+      "parameters": {"b": [1, 2], "steps": 50, "trials": 2, "watchpoints": [[0, 0], [1, 2], [2, 1]], "alpha": 0.5},
+      "columns": AGG_COLUMNS,
+      "rows": [["trial", 0, 27, 0.54, None, None, None], ["trial", 1, 28, 0.56, None, None, None],
+               ["aggregate", None, None, 0.55, 0.014142135623730963, 0.5345668720928765, 0.01543312790712359]]}),
+    (["simulate", "walkers", "--b", "2,3", "--alphas", "0.5,0.3", "--steps", "50", "--trials", "2"],
+     {"command": "simulate", "mode": "walkers", "b": BExponent(2, 3), "alphas": [0.5, 0.3], "steps": 50, "trials": 2,
+      **MC_DEFAULTS},
+     {"command": "simulate walkers", "seed": 1,
+      "parameters": {"b": [2, 3], "steps": 50, "trials": 2, "alphas": [0.5, 0.3]},
+      "columns": AGG_COLUMNS,
+      "rows": [["trial", 0, 44, 0.88, None, None, None], ["trial", 1, 47, 0.94, None, None, None],
+               ["aggregate", None, None, 0.9099999999999999, 0.04242640687119281, 0.9330762040368218,
+                0.023076204036821868]]}),
+    (["exact", "watchpoints", "--b", "1,2", "--watchpoints", "0,0", "--alpha", "0.5", "--steps", "4"],
+     {"command": "exact", "mode": "watchpoints", "b": BExponent(1, 2), "watchpoints": [(0, 0)], "alpha": 0.5,
+      "steps": 4, "format": "csv"},
+     {"command": "exact watchpoints", "seed": None,
+      "parameters": {"b": [1, 2], "watchpoints": [[0, 0]], "alpha": 0.5, "steps": 4},
+      "columns": ["steps", "expectation"], "rows": [[4, 0.78125]]}),
+    (["exact", "walkers", "--b", "2,3", "--alphas", "0.5", "--steps", "5"],
+     {"command": "exact", "mode": "walkers", "b": BExponent(2, 3), "alphas": [0.5], "steps": 5, "format": "csv"},
+     {"command": "exact walkers", "seed": None, "parameters": {"b": [2, 3], "alphas": [0.5], "steps": 5},
+      "columns": ["steps", "expectation"], "rows": [[5, 0.8125]]}),
+    (["verify", "gcd-properties", "--samples", "10"],
+     {"command": "verify", "check": "gcd-properties", "samples": 10, "format": "csv"},
+     {"command": "verify gcd-properties", "seed": None, "parameters": {"samples": 10}, "columns": CHECK_COLUMNS,
+      "rows": [["gcd_b vs brute force (10 random cases)", "PASS", "0 mismatches"],
+               ["divisor criterion: d | gcd_b(m,n) iff d^b1|m and d^b2|n", "PASS", "0 mismatches"],
+               ["shift invariance: gcd_b(m,n) = gcd_b(m+a*n, n) for b1<=b2", "PASS", "0 mismatches"],
+               ["bi-multiplicativity on 10 coprime quadruples", "PASS", "0 mismatches"],
+               ["prime-power formula gcd_b(p^k1, p^k2)", "PASS", "0 mismatches"]]}),
+    (["verify", "visibility-oracle", "--b", "2,3", "--box", "6"],
+     {"command": "verify", "check": "visibility-oracle", "b": BExponent(2, 3), "box": 6, "format": "csv"},
+     {"command": "verify visibility-oracle", "seed": None, "parameters": {"b": [2, 3], "box": 6},
+      "columns": CHECK_COLUMNS, "rows": [["oracle agreement b=(2,3) on 441 pairs (6x6 box)", "PASS", "all agree"]]}),
+    (["verify", "congruence-sum", "--alpha", "0.3", "--n", "1000", "--d", "7"],
+     {"command": "verify", "check": "congruence-sum", "alpha": 0.3, "n": 1000, "d": 7, "threshold": 0.01,
+      "format": "csv"},
+     {"command": "verify congruence-sum", "seed": None,
+      "parameters": {"alpha": 0.3, "n": 1000, "d": 7, "threshold": 0.01}, "columns": CHECK_COLUMNS,
+      "rows": [["congruence masses near 1/7 (alpha=0.3, n=1000)", "PASS", "max deviation 0.000e+00 (threshold 0.01)"],
+               ["residue classes partition the total mass", "PASS", "|sum-1| = 0.00e+00"]]}),
+    (["verify", "mean-value", "--kind", "walker-moment", "--b", "2,3", "--x", "1000", "--r", "2"],
+     {"command": "verify", "check": "mean-value", "kind": "walker-moment", "b": BExponent(2, 3), "x": 1000, "r": 2,
+      "J": None, "shifts": None, "format": "csv"},
+     {"command": "verify mean-value", "seed": None,
+      "parameters": {"kind": "walker-moment", "b": [2, 3], "x": 1000, "r": 2, "shifts": None},
+      "columns": CHECK_COLUMNS,
+      "rows": [["mean value walker-moment b=(2,3) r=2: normalized error decay", "PASS",
+                "ratio 4.2956e-04 at x=100 -> 6.6930e-05 at x=1000"],
+               ["mean value walker-moment: relative error at x=1000", "PASS",
+                "sum/x = 0.93307409 vs density 0.93307620"]]}),
+    (["table1", "--steps", "200", "--trials", "1"],
+     {"command": "table1", "steps": 200, "trials": 1, **MC_DEFAULTS},
+     {"command": "table1", "seed": 1, "parameters": {"steps": 200, "trials": 1},
+      "columns": ["b1", "b2", "numerical_alpha_0.5", "numerical_alpha_0.3", "theoretical", "abs_dev_alpha_0.5",
+                  "abs_dev_alpha_0.3"],
+      "rows": [[1, 2, 0.56, 0.505, 0.5345668720928765, 0.0254331279071236, 0.02956687209287645],
+               [1, 3, 0.78, 0.74, 0.7773734287728712, 0.0026265712271288377, 0.0373734287728712],
+               [1, 4, 0.905, 0.89, 0.8940152520585033, 0.01098474794149673, 0.0040152520585032825],
+               [1, 5, 0.94, 0.94, 0.9489938230042931, 0.008993823004293189, 0.008993823004293189],
+               [2, 3, 0.87, 0.85, 0.8940152520585033, 0.0240152520585033, 0.04401525205850332],
+               [2, 5, 0.94, 0.91, 0.975181698774648, 0.03518169877464805, 0.06518169877464797],
+               [3, 4, 0.955, 0.955, 0.975181698774648, 0.020181698774648038, 0.020181698774648038],
+               [3, 5, 0.975, 0.89, 0.9878212422994396, 0.012821242299439595, 0.09782124229943956]]}),
+    (["table2", "--rows", "2,10", "--steps", "200", "--trials", "1"],
+     {"command": "table2", "b": BExponent(2, 3), "rows": [2, 10], "steps": 200, "trials": 1, **MC_DEFAULTS},
+     {"command": "table2", "seed": 1, "parameters": {"b": [2, 3], "steps": 200, "trials": 1, "rows": [2, 10]},
+      "columns": ["r", "numerical", "theoretical", "abs_deviation"],
+      "rows": [[2, 0.95, 0.9330762040368218, 0.016923795963178168],
+               [10, 0.75, 0.7843030473249477, 0.03430304732494771]]}),
+]
+
+
+@pytest.mark.parametrize("argv, parsed, record", SURFACE, ids=[rec["command"] for _, _, rec in SURFACE])
+def test_cli_surface(argv, parsed, record):
+    ns = vars(build_parser().parse_args(argv))
+    ns.pop("func")
+    assert ns == parsed
+    code, out = run_cli(*argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert {k: doc[k] for k in ("command", "seed", "columns", "rows")} == {
+        k: record[k] for k in ("command", "seed", "columns", "rows")}
+    # parameters lists the subcommand's flags; these keys are always among them
+    assert {k: doc["parameters"].get(k, "missing") for k in record["parameters"]} == record["parameters"]
+
+
+def test_tol_only_where_a_density_is_computed(capsys):
+    code, _ = run_cli("exact", "walkers", "--b", "2,3", "--alphas", "0.5", "--steps", "5", "--tol", "1e-6")
+    assert code == 2
+    code, _ = run_cli("verify", "gcd-properties", "--samples", "10", "--tol", "1")
+    assert code == 2
+    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+
+
+def test_verify_mean_value_missing_input_exits_2():
+    for argv in (("--kind", "walker-moment"), ("--kind", "watchpoints-shifted")):
+        code, out = run_cli("verify", "mean-value", "--b", "2,3", "--x", "1000", *argv)
+        assert code == 2
+        assert out == ""
+    code, _ = run_cli("verify", "mean-value", "--kind", "watchpoints-shifted", "--b", "2,3", "--x", "1000",
+                      "--shifts", "0,1", "--J", "3")
+    assert code == 2
