@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .numtheory import BExponent, CapacityError, DensityResult, as_bexp
 from .visibility import WatchpointSet, _kernel, validate_watchpoint_set, visible_mask
@@ -44,6 +44,10 @@ _ALIVE_REACH = 1 << 52
 _BYTE_ONES = np.uint64(0x0101010101010101)
 _BATCH_STEP_LIMIT = 64
 _ORIGIN = ((0, 0),)
+# The process's one trial pool as (threads, executor), so that repeated
+# requests reuse its idle threads instead of starting new ones.
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -311,6 +315,21 @@ def _run_trial(spec: SimulationSpec, t: int) -> TrialResult:
     return TrialResult(t, res.visible_count, res.steps)
 
 
+def _map_trials(spec: SimulationSpec, threads: int):
+    """Map the trials over the shared pool, first replacing it if its thread
+    count differs, so no more threads idle than the last request asked for.
+    Submitting under the lock keeps another call from shutting the pool down
+    in between; a replaced pool still runs what it was given.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != threads:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (threads, ThreadPoolExecutor(max_workers=threads))
+        return _pool[1].map(lambda t: _run_trial(spec, t), range(spec.trials))
+
+
 def aggregate_trials(spec: SimulationSpec, theory: DensityResult, threads: int = 1) -> AggregateResult:
     """Run all trials of the spec and aggregate in ascending trial order.
 
@@ -330,8 +349,7 @@ def aggregate_trials(spec: SimulationSpec, theory: DensityResult, threads: int =
         counts = _visible_counts(spec.b, trial_seeds, alphas, points, spec.steps)
         results = [TrialResult(t, c, spec.steps) for t, c in enumerate(counts.tolist())]
     elif threads > 1 and T > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: _run_trial(spec, t), range(T)))  # map keeps input order
+        results = list(_map_trials(spec, threads))  # map keeps input order
     else:
         results = [_run_trial(spec, t) for t in range(T)]
 
@@ -361,6 +379,7 @@ def _visible_mass(b, points, alphas, n: int) -> np.ndarray:
     _check_steps(points, n)
     if n > EXACT_STEP_CAP:
         raise CapacityError(f"exact oracles are capped at n = {EXACT_STEP_CAP}, got {n}")
+    from scipy.special import gammaln  # here, not at module level: about 0.3 s of import only exact needs
     lg = gammaln(np.arange(n + 2, dtype=np.float64))
     logs = [(math.log(a), math.log1p(-a)) for a in alphas]
     mass = np.empty((n, len(alphas)))

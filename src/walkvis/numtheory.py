@@ -137,7 +137,8 @@ _TRIAL_LIMIT = 1 << 10
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd n < _MR_LIMIT with no prime factor up to 41."""
+    """Miller-Rabin for odd n with no prime factor up to 41: exact below
+    _MR_LIMIT, and past it a False still proves n composite."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -183,10 +184,19 @@ def _rho_divisor(n: int) -> int:
 
 
 def _prime_divisors(n: int) -> set[int]:
-    """Distinct primes of n < _MR_LIMIT, n > 1 with no prime factor below _TRIAL_LIMIT."""
-    if _is_prime(n):
+    """Distinct primes of n > 1 with no prime factor below _TRIAL_LIMIT.
+
+    Rho splits every n that Miller-Rabin calls composite; only an n at or
+    past _MR_LIMIT that passes every base is trial-divided.
+    """
+    if not _is_prime(n):
+        d = _rho_divisor(n)
+    elif n < _MR_LIMIT:
         return {n}
-    d = _rho_divisor(n)
+    else:
+        d = next((d for d in range(_TRIAL_LIMIT + 1, math.isqrt(n) + 1, 2) if n % d == 0), n)
+        if d == n:
+            return {n}
     return _prime_divisors(d) | _prime_divisors(n // d)
 
 
@@ -194,9 +204,10 @@ def factorize_distinct(x: int, tables: PrimeTables | None = None) -> Iterator[tu
     """Yield (prime, multiplicity) for x >= 1 in ascending order of prime.
 
     Uses the spf walk when x is in range.  Otherwise it trial-divides below
-    _TRIAL_LIMIT, and splits the cofactor with Miller-Rabin and Brent's rho;
-    a cofactor at or past _MR_LIMIT, beyond the reach of those Miller-Rabin
-    bases, is trial-divided on until it falls below it.
+    _TRIAL_LIMIT, and splits the cofactor with Miller-Rabin and Brent's rho.
+    A factor at or past _MR_LIMIT that passes every Miller-Rabin base, which
+    those bases no longer prove prime, is trial-divided: for a large one that
+    can take very long.
     """
     if x < 1:
         raise ValueError(f"cannot factor {x}")
@@ -211,7 +222,7 @@ def factorize_distinct(x: int, tables: PrimeTables | None = None) -> Iterator[tu
             yield p, k
         return
     d = 2
-    while d * d <= x and (d < _TRIAL_LIMIT or x >= _MR_LIMIT):
+    while d * d <= x and d < _TRIAL_LIMIT:
         if x % d == 0:
             k = _multiplicity(d, x)
             x //= d**k

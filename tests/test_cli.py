@@ -161,23 +161,39 @@ def test_simulate_watchpoints_with_large_coprime_coordinates():
     assert csv_rows(out)[1][-1][0] == "aggregate"
 
 
+def run_fresh_python(code, timeout):
+    """Run python code against this checkout's src in a new interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=timeout, env=env)
+
+
 def test_watchpoints_with_huge_prime_gcd_exit_promptly():
     # gcd(dx, dy) is the prime 2**61 - 1: validation factors it at once, so
     # the pair is rejected as not mutually visible at b = (1, 1) (exit 3)
     # in a fresh process killed after 20 s
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     argv = ["simulate", "watchpoints", "--b", "1,1",
             "--watchpoints", "0,0;4611686018427387902,6917529027641081853",
             "--alpha", "0.5", "--steps", "10", "--trials", "1"]
-    proc = subprocess.run(
-        [sys.executable, "-c", f"from walkvis.cli import main; raise SystemExit(main({argv!r}))"],
-        capture_output=True, text=True, timeout=20, env=env,
-    )
+    proc = run_fresh_python(f"from walkvis.cli import main; raise SystemExit(main({argv!r}))", timeout=20)
     assert proc.returncode == 3, proc.stderr
     assert "not mutually visible" in proc.stderr
     # at b = (1, 2) the same pair is visible: (2**61 - 1)**2 does not divide dy
     assert is_b_visible((1, 2), (0, 0), (4611686018427387902, 6917529027641081853))
+
+
+def test_import_loads_scipy_only_for_exact():
+    # scipy.special costs about 0.3 s of every process's start-up, and only the
+    # exact oracles use it; checked in a fresh interpreter
+    proc = run_fresh_python(
+        "import sys, walkvis, walkvis.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "from walkvis.estimators import exact_expectation_walkers\n"
+        "print(exact_expectation_walkers((2, 3), [0.5], 5) == 0.8125, 'scipy.special' in sys.modules)\n",
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True True"]
 
 
 def test_simulate_single_step_proportion_binary():

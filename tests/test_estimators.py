@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -153,6 +155,52 @@ def test_threaded_aggregation_identical():
     spec = SimulationSpec(wset.b, WatchpointsMode(wset, WalkerConfig(0.5)), 3000, 8, 5)
     theory = density_watchpoints((1, 2), 3)
     assert aggregate_trials(spec, theory, threads=1) == aggregate_trials(spec, theory, threads=4)
+
+
+def test_trial_pool_kept_until_thread_count_changes():
+    wset = validate_watchpoint_set((1, 2), [(0, 0), (1, 2), (2, 1)])
+    spec = SimulationSpec(wset.b, WatchpointsMode(wset, WalkerConfig(0.5)), 500, 4, 9)
+    theory = density_watchpoints((1, 2), 3)
+    serial = aggregate_trials(spec, theory, threads=1)
+    assert aggregate_trials(spec, theory, threads=2) == serial
+    pool = walkvis.estimators._pool
+    assert pool[0] == 2
+    assert aggregate_trials(spec, theory, threads=2) == serial
+    assert walkvis.estimators._pool is pool  # reused, not rebuilt
+    assert aggregate_trials(spec, theory, threads=3) == serial
+    assert walkvis.estimators._pool[0] == 3
+    with pytest.raises(RuntimeError):  # the replaced pool was shut down
+        pool[1].submit(int)
+
+
+def test_trial_pool_shared_by_concurrent_callers():
+    # callers asking for different thread counts replace the pool under each
+    # other; each must still get every trial of its own request
+    wset = validate_watchpoint_set((1, 2), [(0, 0), (1, 2), (2, 1)])
+    spec = SimulationSpec(wset.b, WatchpointsMode(wset, WalkerConfig(0.5)), 100, 3, 11)
+    theory = density_watchpoints((1, 2), 3)
+    serial = aggregate_trials(spec, theory, threads=1)
+    results, errors = [], []
+
+    def caller(threads):
+        try:
+            results.extend(aggregate_trials(spec, theory, threads=threads) for _ in range(10))
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    callers = [threading.Thread(target=caller, args=(k,)) for k in (2, 3, 2, 3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for c in callers:
+            c.start()
+        for c in callers:
+            c.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(c.is_alive() for c in callers)
+    assert errors == []
+    assert results == [serial] * 40
 
 
 def test_batched_small_n_matches_serial():

@@ -157,6 +157,18 @@ def test_factorize_distinct_past_trial_division():
         assert list(factorize_distinct(x)) == sorted(factor_slow(x).items()), x
 
 
+def test_factorize_distinct_splits_composite_past_mr_limit():
+    # (2**31 - 1) * (2**61 - 1) is past the Miller-Rabin bound, but a
+    # "composite" verdict holds there, so rho splits it instead of trial division
+    out = run_with_time_limit(
+        "from walkvis.numtheory import _MR_LIMIT, factorize_distinct\n"
+        "x = (2**31 - 1) * (2**61 - 1)\n"
+        "assert x >= _MR_LIMIT\n"
+        "print(list(factorize_distinct(x)))"
+    )
+    assert out.strip() == str([(2**31 - 1, 1), (2**61 - 1, 1)])
+
+
 def test_gcd_b_of_huge_coprime_pair_is_fast():
     # gcd_b factors gcd(m, n) = 1, not the 19-digit smaller argument
     out = run_with_time_limit(
