@@ -52,7 +52,8 @@ _pool_lock = threading.Lock()
 
 @dataclass(frozen=True)
 class WatchpointsMode:
-    """One walker observed from a validated watchpoint set."""
+    """One walker observed from a watchpoint set (a raw point list is
+    validated when the spec runs)."""
 
     watchpoints: WatchpointSet
     alpha: WalkerConfig
@@ -281,6 +282,13 @@ def _one_trial(b, seed: int, alphas, points, n: int) -> TrialResult:
     return TrialResult(0, int(count), n)
 
 
+def _watchpoint_points(b, watchpoints) -> tuple:
+    """The points of a WatchpointSet, or of a raw point list validated for b."""
+    if isinstance(watchpoints, WatchpointSet):
+        return watchpoints.points
+    return validate_watchpoint_set(b, watchpoints).points
+
+
 def simulate_watchpoint_run(b, watchpoints, alpha, n, seed) -> TrialResult:
     """One seeded trial: the count of steps 1..n visible from every watchpoint.
 
@@ -288,8 +296,7 @@ def simulate_watchpoint_run(b, watchpoints, alpha, n, seed) -> TrialResult:
     may be a validated WatchpointSet or a raw point list (validated here).
     """
     bb = as_bexp(b)
-    wset = watchpoints if isinstance(watchpoints, WatchpointSet) else validate_watchpoint_set(bb, watchpoints)
-    return _one_trial(bb, seed, (as_walker(alpha),), wset.points, n)
+    return _one_trial(bb, seed, (as_walker(alpha),), _watchpoint_points(bb, watchpoints), n)
 
 
 def simulate_walkers_run(b, alphas, n, seed) -> TrialResult:
@@ -342,7 +349,7 @@ def aggregate_trials(spec: SimulationSpec, theory: DensityResult, threads: int =
     if spec.steps <= _BATCH_STEP_LIMIT:
         mode = spec.mode
         if isinstance(mode, WatchpointsMode):
-            alphas, points = (mode.alpha,), mode.watchpoints.points
+            alphas, points = (mode.alpha,), _watchpoint_points(spec.b, mode.watchpoints)
         else:
             alphas, points = mode.alphas, _ORIGIN
         trial_seeds = splitmix64_block(spec.master_seed, 0, T)  # derive_trial_seed(master, t, 0, 1)
@@ -403,8 +410,7 @@ def exact_expectation_watchpoints(b, watchpoints, alpha, n) -> float:
     shared-coordinate conventions as the simulator.
     """
     bb = as_bexp(b)
-    wset = watchpoints if isinstance(watchpoints, WatchpointSet) else validate_watchpoint_set(bb, watchpoints)
-    mass = _visible_mass(bb, wset.points, [as_walker(alpha).alpha], n)
+    mass = _visible_mass(bb, _watchpoint_points(bb, watchpoints), [as_walker(alpha).alpha], n)
     return math.fsum(mass[:, 0].tolist()) / n
 
 

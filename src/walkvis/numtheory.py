@@ -183,13 +183,30 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _prime_divisors(n: int) -> set[int]:
     """Distinct primes of n > 1 with no prime factor below _TRIAL_LIMIT.
 
-    Rho splits every n that Miller-Rabin calls composite; only an n at or
-    past _MR_LIMIT that passes every base is trial-divided.
+    An n that Miller-Rabin calls composite is first tested for n = r**k, and
+    split by rho only when it is no perfect power: rho needs about sqrt(p)
+    steps on p**k.  Every prime factor exceeds 2**10, so k <= bit_length/10.
+    An n at or past _MR_LIMIT that passes every base is a probable prime,
+    which is trial-divided: for a large one that can take very long.
     """
     if not _is_prime(n):
+        for k in range(2, n.bit_length() // 10 + 1):
+            r = _iroot(n, k)
+            if r**k == n:
+                return _prime_divisors(r)
         d = _rho_divisor(n)
     elif n < _MR_LIMIT:
         return {n}
@@ -204,7 +221,7 @@ def factorize_distinct(x: int, tables: PrimeTables | None = None) -> Iterator[tu
     """Yield (prime, multiplicity) for x >= 1 in ascending order of prime.
 
     Uses the spf walk when x is in range.  Otherwise it trial-divides below
-    _TRIAL_LIMIT, and splits the cofactor with Miller-Rabin and Brent's rho.
+    _TRIAL_LIMIT, and splits the cofactor with Miller-Rabin, k-th roots and rho.
     A factor at or past _MR_LIMIT that passes every Miller-Rabin base, which
     those bases no longer prove prime, is trial-divided: for a large one that
     can take very long.
@@ -242,7 +259,7 @@ def _pow_divides(p: int, e: int, x: int) -> bool:
     return pe <= x and x % pe == 0
 
 
-def gcd_b(b, m: int, n: int, tables: PrimeTables | None = None) -> int:
+def gcd_b(b, m: int, n: int) -> int:
     """Largest d >= 1 with d**b1 | m and d**b2 | n.
 
     Divisibility is taken on absolute values, and every d divides 0, so a
@@ -254,12 +271,12 @@ def gcd_b(b, m: int, n: int, tables: PrimeTables | None = None) -> int:
     if m == 0 and n == 0:
         raise ValueError("gcd_b(0, 0) is undefined")
     if m == 0:
-        return math.prod(p ** (k // bb.b2) for p, k in factorize_distinct(n, tables))
+        return math.prod(p ** (k // bb.b2) for p, k in factorize_distinct(n))
     if n == 0:
-        return math.prod(p ** (k // bb.b1) for p, k in factorize_distinct(m, tables))
+        return math.prod(p ** (k // bb.b1) for p, k in factorize_distinct(m))
     # a contributing prime divides both arguments, so only their gcd is factored
     g = 1
-    for p, _ in factorize_distinct(math.gcd(m, n), tables):
+    for p, _ in factorize_distinct(math.gcd(m, n)):
         g *= p ** min(_multiplicity(p, m) // bb.b1, _multiplicity(p, n) // bb.b2)
     return g
 
@@ -327,53 +344,43 @@ def euler_tail_cutoff(dev_constant: float, kappa: float, tol: float) -> float:
     return max(from_tol, from_validity, 2.0)
 
 
+def _euler_primes(dev_constant: float, kappa: float, tol: float) -> tuple[list[int], float]:
+    """The primes up to the first one, P, at or past euler_tail_cutoff, and
+    the tail bound 2*C*P**(1-kappa)/(kappa-1) at P."""
+    cutoff = euler_tail_cutoff(dev_constant, kappa, tol)
+    limit = max(8, int(cutoff * 1.3) + 64)
+    primes = sieve_primes(limit)
+    while float(primes[-1]) < cutoff:
+        limit *= 2
+        primes = sieve_primes(limit)
+    included = primes[: int(np.searchsorted(primes, math.ceil(cutoff))) + 1].tolist()
+    tail = 2.0 * dev_constant * float(included[-1]) ** (1.0 - kappa) / (kappa - 1.0)
+    return included, tail
+
+
 def euler_product_truncated(
     factor: Callable[[int], float],
     kappa: float,
     tol: float,
     *,
     dev_constant: float,
-    tables: PrimeTables | None = None,
 ) -> DensityResult:
     """prod_p F(p) over primes p <= P, with P chosen so the discarded tail
     is rigorously below ``tol``.
 
     The caller guarantees 0 < F(p) <= 1 on the sieved range and
     |1 - F(p)| <= dev_constant * p**-kappa beyond the cutoff.  P is the
-    smallest sieved prime at which 2*C*P**(1-kappa)/(kappa-1) <= tol (valid
-    once C*P**-kappa <= 1/2); that bound is recorded in ``tail_bound``.
+    smallest prime at which 2*C*P**(1-kappa)/(kappa-1) <= tol (valid once
+    C*P**-kappa <= 1/2); that bound is recorded in ``tail_bound``.
     An exact zero factor short-circuits to value 0 with tail_bound 0.
     """
-    cutoff = euler_tail_cutoff(dev_constant, kappa, tol)
-    primes = _primes_reaching(cutoff, tables)
-    stop = int(np.searchsorted(primes, math.ceil(cutoff)))
-    if stop == len(primes):
-        raise CapacityError(f"prime tables end before the required cutoff {cutoff:.0f}")
-    included = primes[: stop + 1]
+    primes, tail = _euler_primes(dev_constant, kappa, tol)
     value = 1.0
-    for p in included.tolist():
+    for p in primes:
         f = factor(p)
         if f == 0.0:
             return DensityResult(0.0, p, 0.0)
         if f < 0.0 or f > 1.0 + 1e-12:
             raise ValueError(f"factor at p={p} is {f}, outside (0, 1]")
         value *= min(f, 1.0)  # float round-off may graze 1 from above
-    prime_cutoff = int(included[-1])
-    tail = 2.0 * dev_constant * float(prime_cutoff) ** (1.0 - kappa) / (kappa - 1.0)
-    return DensityResult(value, prime_cutoff, tail)
-
-
-def _primes_reaching(cutoff: float, tables: PrimeTables | None) -> np.ndarray:
-    """A prime array guaranteed to contain a prime >= cutoff."""
-    if tables is not None:
-        if tables.limit >= cutoff and tables.limit >= 2 and float(tables.primes[-1]) >= cutoff:
-            return tables.primes
-        raise CapacityError(
-            f"supplied tables reach {tables.limit}, below the required cutoff {cutoff:.0f}"
-        )
-    limit = max(8, int(cutoff * 1.3) + 64)
-    while True:
-        primes = sieve_primes(limit)
-        if len(primes) and float(primes[-1]) >= cutoff:
-            return primes
-        limit *= 2
+    return DensityResult(value, primes[-1], tail)

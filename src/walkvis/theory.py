@@ -26,21 +26,19 @@ import numpy as np
 from .numtheory import (
     BExponent,
     DensityResult,
-    PrimeTables,
+    _euler_primes,
     as_bexp,
     euler_product_truncated,
-    euler_tail_cutoff,
     factorize_distinct,
     gcd_b,
     sieve_primes,
     zeta_int,
-    _primes_reaching,
 )
 
 ShiftVector = tuple[int, ...]
 
 
-def density_watchpoints(b, J: int, tol: float = 1e-9, tables: PrimeTables | None = None) -> DensityResult:
+def density_watchpoints(b, J: int, tol: float = 1e-9) -> DensityResult:
     """Limiting proportion of steps visible from J pairwise-visible watchpoints.
 
     Exactly zero when J = 2**(b1+b2) (the factor at p = 2 vanishes: no point
@@ -55,13 +53,13 @@ def density_watchpoints(b, J: int, tol: float = 1e-9, tables: PrimeTables | None
         t = 1.0 / p**k
         return (1.0 - J * t) / (1.0 - t) ** J
 
-    raw = euler_product_truncated(corrected, 2 * k, tol, dev_constant=2.0 * J * J, tables=tables)
+    raw = euler_product_truncated(corrected, 2 * k, tol, dev_constant=2.0 * J * J)
     if raw.value == 0.0:
         return raw
     return DensityResult(raw.value * zeta_int(k) ** (-J), raw.prime_cutoff, raw.tail_bound)
 
 
-def density_walkers(b, r: int, tol: float = 1e-9, tables: PrimeTables | None = None) -> DensityResult:
+def density_walkers(b, r: int, tol: float = 1e-9) -> DensityResult:
     """Limiting proportion of steps at which r independent walkers are all
     visible from the origin.
 
@@ -73,24 +71,17 @@ def density_walkers(b, r: int, tol: float = 1e-9, tables: PrimeTables | None = N
         raise ValueError(f"walker count must be >= 1, got {r}")
     lo, hi = bb.lo, bb.hi
     k = lo + hi
-    kappa = lo + 2 * hi
-    dev_c = 3.0 * r * r
-    cutoff = euler_tail_cutoff(dev_c, kappa, tol)
-    primes = _primes_reaching(cutoff, tables)
-    stop = int(np.searchsorted(primes, math.ceil(cutoff)))
-    included = primes[: stop + 1]
+    primes, tail = _euler_primes(3.0 * r * r, lo + 2 * hi, tol)
     log_acc = -r * math.log(zeta_int(k))
-    for p in included.tolist():
+    for p in primes:
         y = 1.0 / p**lo
         z = 1.0 / p**hi
         f = 1.0 - y * (1.0 - (1.0 - z) ** r)
         log_acc += math.log(f) - r * math.log1p(-1.0 / p**k)
-    prime_cutoff = int(included[-1])
-    tail = 2.0 * dev_c * float(prime_cutoff) ** (1.0 - kappa) / (kappa - 1.0)
-    return DensityResult(math.exp(log_acc), prime_cutoff, tail)
+    return DensityResult(math.exp(log_acc), primes[-1], tail)
 
 
-def f_b_value(b, n: int, tables: PrimeTables | None = None) -> float:
+def f_b_value(b, n: int) -> float:
     """Multiplicative visibility density factor of n.
 
     On a prime power p^k the value is 1 for k < b1 and 1 - p^-b2 for k >= b1,
@@ -100,7 +91,7 @@ def f_b_value(b, n: int, tables: PrimeTables | None = None) -> float:
     if n < 1:
         raise ValueError(f"f_b is defined on positive integers, got {n}")
     out = 1.0
-    for p, k in factorize_distinct(n, tables):
+    for p, k in factorize_distinct(n):
         if k >= bb.b1:
             out *= 1.0 - 1.0 / p**bb.b2
     return out
@@ -127,7 +118,7 @@ def f_b_values_upto(b, x: int, primes: np.ndarray | None = None) -> np.ndarray:
     return vals
 
 
-def f_bs_value(b, shifts: Sequence[int], n: int, tables: PrimeTables | None = None) -> float:
+def f_bs_value(b, shifts: Sequence[int], n: int) -> float:
     """Shifted Mobius sum over tuples (d_1..d_J): each d_j**b1 | n - s_j,
     the d_j pairwise coprime, summing prod mu(d_j) / (prod d_j)**b2.
 
@@ -144,7 +135,7 @@ def f_bs_value(b, shifts: Sequence[int], n: int, tables: PrimeTables | None = No
     prime_sets = []
     for sj in s:
         m = n - sj
-        prime_sets.append([p for p, k in factorize_distinct(m, tables) if k >= bb.b1])
+        prime_sets.append([p for p, k in factorize_distinct(m) if k >= bb.b1])
 
     def over_subsets(j: int, used: set[int]) -> float:
         if j == len(s):
@@ -184,7 +175,6 @@ def mean_value_check(
     r: int | None = None,
     shifts: Sequence[int] | None = None,
     tol: float = 1e-9,
-    tables: PrimeTables | None = None,
 ) -> MeanValueReport:
     """Compare a partial sum of f_b**r (kind "walker-moment") or f_{b,s}
     (kind "watchpoints-shifted") with density * x.
@@ -217,7 +207,7 @@ def mean_value_check(
             hi = x - s[0]
             partial = float(math.fsum(vals[lo : hi + 1].tolist()))
         else:
-            partial = math.fsum(f_bs_value(bb, s, n, tables) for n in range(s_max + 1, x + 1))
+            partial = math.fsum(f_bs_value(bb, s, n) for n in range(s_max + 1, x + 1))
         theory = density_watchpoints(bb, len(s), tol)
         scale = math.log(x) ** len(s)
     else:
@@ -267,7 +257,6 @@ def gcdb_conditioned_binomial_sum(
     n: int,
     shifts: Sequence[int],
     tshifts: Sequence[int],
-    tables: PrimeTables | None = None,
 ) -> float:
     """Binomial(m, alpha) mass on the k with gcd_b(n - s_j, k - t_j) = 1 for
     every j.
@@ -289,7 +278,7 @@ def gcdb_conditioned_binomial_sum(
     for j1 in range(len(s)):
         for j2 in range(j1 + 1, len(s)):
             ds, dt = s[j1] - s[j2], t[j1] - t[j2]
-            if (ds == 0 and dt == 0) or gcd_b(bb, ds, dt, tables) != 1:
+            if (ds == 0 and dt == 0) or gcd_b(bb, ds, dt) != 1:
                 raise ValueError(
                     f"shift pairs {j1} and {j2} violate the pairwise gcd_b hypothesis: "
                     f"gcd_b({ds}, {dt}) != 1"
@@ -302,7 +291,7 @@ def gcdb_conditioned_binomial_sum(
     ok = np.ones(m + 1, dtype=bool)
     for j in range(len(s)):
         target = n - s[j]
-        for p, kk in factorize_distinct(target, tables):
+        for p, kk in factorize_distinct(target):
             if kk >= bb.b1:
                 ok &= (k - t[j]) % p**bb.b2 != 0
     return float(math.fsum(row[ok].tolist()))

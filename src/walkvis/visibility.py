@@ -108,7 +108,7 @@ class WatchpointValidationError(ValueError):
         self.cardinality = cardinality
 
 
-def validate_watchpoint_set(b, points: Sequence, tables: PrimeTables | None = None) -> WatchpointSet:
+def validate_watchpoint_set(b, points: Sequence) -> WatchpointSet:
     """Validate a nonempty point list as a watchpoint set for this b."""
     bb = as_bexp(b)
     pts = [LatticePoint(int(pt[0]), int(pt[1])) for pt in points]
@@ -126,7 +126,7 @@ def validate_watchpoint_set(b, points: Sequence, tables: PrimeTables | None = No
                 raise WatchpointValidationError(
                     f"duplicate watchpoint {tuple(pts[i])}", pair=(pts[i], pts[j])
                 )
-            if not is_b_visible(bb, pts[i], pts[j], tables):
+            if not is_b_visible(bb, pts[i], pts[j]):
                 raise WatchpointValidationError(
                     f"watchpoints {tuple(pts[i])} and {tuple(pts[j])} are not mutually visible",
                     pair=(pts[i], pts[j]),

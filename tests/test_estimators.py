@@ -213,6 +213,16 @@ def test_batched_small_n_matches_serial():
         assert [t.visible_count for t in agg.trial_results] == [t.visible_count for t in serial]
 
 
+def test_raw_watchpoint_list_matches_validated_set():
+    # n = 10 takes the batched path, n = 100 the per-trial one
+    raw = [(0, 0), (1, 2)]
+    wset = validate_watchpoint_set((1, 2), raw)
+    theory = density_watchpoints((1, 2), 2)
+    for n in (10, 100):
+        specs = [SimulationSpec(wset.b, WatchpointsMode(w, WalkerConfig(0.5)), n, 3, 5) for w in (raw, wset)]
+        assert aggregate_trials(specs[0], theory) == aggregate_trials(specs[1], theory)
+
+
 def test_monte_carlo_agrees_with_exact_oracle():
     b = (1, 2)
     wset = validate_watchpoint_set(b, [(0, 0), (1, 2), (2, 1)])

@@ -111,7 +111,6 @@ def test_gcd_b_zero_and_signs():
 
 def test_gcd_b_matches_brute_force_random():
     # deterministic sample; the big 1e4-case sweep runs under acceptance
-    tables = build_tables(100_000)
     state = 2024
     pairs = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 4), (3, 4)]
     for i in range(800):
@@ -123,7 +122,7 @@ def test_gcd_b_matches_brute_force_random():
         if m == 0 and n == 0:
             continue
         b = pairs[z3 % len(pairs)]
-        assert gcd_b(b, m, n, tables) == gcd_b_bruteforce(b, m, n)
+        assert gcd_b(b, m, n) == gcd_b_bruteforce(b, m, n)
 
 
 def run_with_time_limit(code, seconds=20):
@@ -167,6 +166,21 @@ def test_factorize_distinct_splits_composite_past_mr_limit():
         "print(list(factorize_distinct(x)))"
     )
     assert out.strip() == str([(2**31 - 1, 1), (2**61 - 1, 1)])
+
+
+def test_factorize_distinct_splits_prime_powers():
+    # rho needs about sqrt(p) steps on p**k, so perfect powers are split by roots
+    m61, m31 = 2**61 - 1, 2**31 - 1
+    out = run_with_time_limit(
+        "from walkvis.numtheory import factorize_distinct\n"
+        f"for x in ({m61}**2, 1031 * {m61}**2 * 999983, {m31}**3):\n"
+        "    print(list(factorize_distinct(x)))"
+    )
+    assert out.split("\n")[:3] == [
+        str([(m61, 2)]),
+        str([(1031, 1), (999983, 1), (m61, 2)]),
+        str([(m31, 3)]),
+    ]
 
 
 def test_gcd_b_of_huge_coprime_pair_is_fast():
