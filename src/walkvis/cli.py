@@ -189,12 +189,6 @@ def _checks(results):
     return ["check", "status", "measured"], rows, 0 if all(r.passed for r in results) else 5
 
 
-def _verify_mean_value(args):
-    if args.J is not None and args.shifts is not None and args.J != len(args.shifts):
-        raise ValueError(f"--J {args.J} disagrees with {len(args.shifts)} shifts")
-    return _checks(check_mean_value(args.kind, args.b, args.x, r=args.r, shifts=args.shifts))
-
-
 def _table1(args):
     """The eight-row watchpoint table: simulated means at alpha 0.5 and 0.3
     against the limiting density for W = {(0,0), (1,2), (2,1)}."""
@@ -310,9 +304,8 @@ COMMANDS = (
     Command("verify mean-value",
             (_flag("--kind", choices=("walker-moment", "watchpoints-shifted"), required=True), B,
              _flag("--x", type=int, required=True), _flag("--r", type=int, default=None),
-             _flag("--J", type=int, default=None, help="consistency check against len(shifts)"),
              _flag("--shifts", type=_parse_ints, default=None), FORMAT),
-            _verify_mean_value),
+            lambda a: _checks(check_mean_value(a.kind, a.b, a.x, r=a.r, shifts=a.shifts))),
     Command("table1", TABLE_RUN, _table1, help="watchpoint reference table (8 rows)"),
     Command("table2", (_flag("--b", type=_parse_b, default=BExponent(2, 3)),
                        _flag("--rows", type=_parse_ints, default=TABLE2_ROWS), *TABLE_RUN),

@@ -16,7 +16,7 @@ import bisect
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -346,10 +346,13 @@ def aggregate_trials(spec: SimulationSpec, theory: DensityResult, threads: int =
     call; above it, the pool maps the per-trial simulators over trials.
     """
     T = spec.trials
+    mode = spec.mode
+    if isinstance(mode, WatchpointsMode) and not isinstance(mode.watchpoints, WatchpointSet):
+        mode = WatchpointsMode(validate_watchpoint_set(spec.b, mode.watchpoints), mode.alpha)
+        spec = replace(spec, mode=mode)  # validated once here, not again in every trial
     if spec.steps <= _BATCH_STEP_LIMIT:
-        mode = spec.mode
         if isinstance(mode, WatchpointsMode):
-            alphas, points = (mode.alpha,), _watchpoint_points(spec.b, mode.watchpoints)
+            alphas, points = (mode.alpha,), mode.watchpoints.points
         else:
             alphas, points = mode.alphas, _ORIGIN
         trial_seeds = splitmix64_block(spec.master_seed, 0, T)  # derive_trial_seed(master, t, 0, 1)
@@ -381,13 +384,16 @@ def _visible_mass(b, points, alphas, n: int) -> np.ndarray:
     (k, i-k) visible from every point, for a walker of alpha ``alphas[c]``.
 
     The pmf is evaluated per term in log space to dodge underflow for i in
-    the hundreds.
+    the hundreds, from lf[j] = log(j!) of the exact factorial.
     """
     _check_steps(points, n)
     if n > EXACT_STEP_CAP:
         raise CapacityError(f"exact oracles are capped at n = {EXACT_STEP_CAP}, got {n}")
-    from scipy.special import gammaln  # here, not at module level: about 0.3 s of import only exact needs
-    lg = gammaln(np.arange(n + 2, dtype=np.float64))
+    fact, lf = 1, [0.0]
+    for j in range(1, n + 1):
+        fact *= j
+        lf.append(math.log(fact))
+    lf = np.array(lf)
     logs = [(math.log(a), math.log1p(-a)) for a in alphas]
     mass = np.empty((n, len(alphas)))
     for i in range(1, n + 1):
@@ -396,7 +402,7 @@ def _visible_mass(b, points, alphas, n: int) -> np.ndarray:
         ok = np.ones(i + 1, dtype=bool)
         for u, v in points:
             ok &= visible_mask(b, k - u, (i - k) - v)
-        base = lg[i + 1] - lg[k + 1] - lg[i - k + 1]
+        base = lf[i] - lf[k] - lf[i - k]
         for c, (log_a, log_1a) in enumerate(logs):
             mass[i - 1, c] = np.exp(base + kf * log_a + (i - kf) * log_1a)[ok].sum()
     return mass

@@ -18,6 +18,7 @@ even at tight tolerances:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -87,34 +88,18 @@ def f_b_value(b, n: int) -> float:
     On a prime power p^k the value is 1 for k < b1 and 1 - p^-b2 for k >= b1,
     so f(n) = prod over primes with p^b1 | n of (1 - p^-b2); always in (0, 1].
     """
-    bb = as_bexp(b)
     if n < 1:
         raise ValueError(f"f_b is defined on positive integers, got {n}")
-    out = 1.0
-    for p, k in factorize_distinct(n):
-        if k >= bb.b1:
-            out *= 1.0 - 1.0 / p**bb.b2
-    return out
+    return f_bs_value(b, (0,), n)
 
 
-def f_b_values_upto(b, x: int, primes: np.ndarray | None = None) -> np.ndarray:
-    """f_b(n) for all n <= x at once (index 0 is unused and set to 0).
-
-    Sieve-style: each prime scales exactly the multiples of p**b1, which is
-    the same rule as the pointwise prime-power formula.
-    """
+def f_b_values_upto(b, x: int) -> np.ndarray:
+    """f_b(n) for all n <= x at once (index 0 is unused and set to 0)."""
     bb = as_bexp(b)
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
-    if primes is None:
-        primes = sieve_primes(max(2, int(round(x ** (1.0 / bb.b1))) + 1))
-    vals = np.ones(x + 1, dtype=np.float64)
+    vals = _f_bs_table(bb, (0,), 0, x)
     vals[0] = 0.0
-    for p in primes.tolist():
-        step = p**bb.b1
-        if step > x:
-            break
-        vals[step::step] *= 1.0 - 1.0 / p**bb.b2
     return vals
 
 
@@ -122,9 +107,10 @@ def f_bs_value(b, shifts: Sequence[int], n: int) -> float:
     """Shifted Mobius sum over tuples (d_1..d_J): each d_j**b1 | n - s_j,
     the d_j pairwise coprime, summing prod mu(d_j) / (prod d_j)**b2.
 
-    Only squarefree d_j built from primes p with p**b1 | n - s_j contribute,
-    so the sum runs over subset choices with disjoint prime supports.
-    Defined for n beyond every |s_j|; with J = 1, s = 0 this is f_b(n).
+    Coprimality puts each prime in at most one d_j, so the sum is the product
+    over primes p of (1 - c_p / p**b2), c_p the number of j with
+    p**b1 | n - s_j.  Defined for n beyond every |s_j|; with J = 1, s = 0
+    this is f_b(n).
     """
     bb = as_bexp(b)
     s = tuple(int(v) for v in shifts)
@@ -132,24 +118,28 @@ def f_bs_value(b, shifts: Sequence[int], n: int) -> float:
         raise ValueError("need at least one shift")
     if n <= max(abs(v) for v in s):
         raise ValueError(f"n must exceed every |shift|, got n={n}, shifts={s}")
-    prime_sets = []
-    for sj in s:
-        m = n - sj
-        prime_sets.append([p for p, k in factorize_distinct(m) if k >= bb.b1])
+    counts = Counter(p for sj in s for p, k in factorize_distinct(n - sj) if k >= bb.b1)
+    return math.prod((1.0 - c / p**bb.b2 for p, c in sorted(counts.items())), start=1.0)
 
-    def over_subsets(j: int, used: set[int]) -> float:
-        if j == len(s):
-            return 1.0
-        avail = [p for p in prime_sets[j] if p not in used]
-        total = 0.0
-        for mask in range(1 << len(avail)):
-            chosen = [p for idx, p in enumerate(avail) if mask >> idx & 1]
-            d = math.prod(chosen)
-            sign = -1.0 if len(chosen) % 2 else 1.0
-            total += sign / d**bb.b2 * over_subsets(j + 1, used | set(chosen))
-        return total
 
-    return over_subsets(0, set())
+def _f_bs_table(bb: BExponent, s: ShiftVector, lo: int, hi: int) -> np.ndarray:
+    """f_{b,s}(n) for lo <= n <= hi, sieved: each prime p scales each residue
+    class of the s_j mod p**b1 once, in ascending prime order as f_bs_value
+    multiplies, so the two agree bit for bit."""
+    if hi < lo:
+        return np.ones(0)
+    vals = np.ones(hi - lo + 1)
+    top = hi - min(s)  # the largest n - s_j; at least 1 once lo > max|s_j|
+    span = max(s) - min(s)
+    distinct = Counter(s)  # once p**b1 > span, the distinct s_j are the classes
+    for p in sieve_primes(max(2, int(round(top ** (1.0 / bb.b1))) + 1)).tolist():
+        q = p**bb.b1
+        if q > top:
+            break
+        classes = distinct if q > span else Counter(v % q for v in s)
+        for r, c in classes.items():
+            vals[(r - lo) % q :: q] *= 1.0 - c / p**bb.b2
+    return vals
 
 
 @dataclass(frozen=True)
@@ -174,10 +164,10 @@ def mean_value_check(
     *,
     r: int | None = None,
     shifts: Sequence[int] | None = None,
-    tol: float = 1e-9,
 ) -> MeanValueReport:
     """Compare a partial sum of f_b**r (kind "walker-moment") or f_{b,s}
-    (kind "watchpoints-shifted") with density * x.
+    (kind "watchpoints-shifted") with density * x, the density at its
+    default tolerance 1e-9.
 
     Stated for b1 <= b2 only; swap the axes to handle the mirrored case.
     The shifted sum starts just past max|s_j| (earlier terms are undefined);
@@ -193,22 +183,14 @@ def mean_value_check(
             raise ValueError("walker-moment needs r >= 1")
         vals = f_b_values_upto(bb, x)
         partial = float(math.fsum(np.power(vals[1:], r).tolist()))
-        theory = density_walkers(bb, r, tol)
+        theory = density_walkers(bb, r)
         scale = math.sqrt(x)
     elif kind == "watchpoints-shifted":
         if not shifts:
             raise ValueError("watchpoints-shifted needs a nonempty shift vector")
         s = tuple(int(v) for v in shifts)
-        s_max = max(abs(v) for v in s)
-        if len(s) == 1:
-            # f_{b,(s1)}(n) = f_b(n - s1): one shifted slice of the f_b table
-            vals = f_b_values_upto(bb, x - s[0] if s[0] < 0 else x)
-            lo = s_max + 1 - s[0]
-            hi = x - s[0]
-            partial = float(math.fsum(vals[lo : hi + 1].tolist()))
-        else:
-            partial = math.fsum(f_bs_value(bb, s, n) for n in range(s_max + 1, x + 1))
-        theory = density_watchpoints(bb, len(s), tol)
+        partial = math.fsum(_f_bs_table(bb, s, max(abs(v) for v in s) + 1, x).tolist())
+        theory = density_watchpoints(bb, len(s))
         scale = math.log(x) ** len(s)
     else:
         raise ValueError(f"unknown kind {kind!r}")
@@ -222,7 +204,9 @@ def _binomial_pmf_row(alpha: float, n: int) -> np.ndarray:
 
     Anchored at k = 0 and built by the multiplicative recurrence in
     longdouble, which stays far inside the 1e-12 round-off budget of the
-    partition identity and never underflows at the n used here.
+    partition identity.  Once the anchor (1-alpha)**n falls so far below the
+    longdouble range that the running product of ratios overflows, the row
+    cannot be formed this way and a ValueError says so.
     """
     a = np.longdouble(alpha)
     row = np.empty(n + 1, dtype=np.longdouble)
@@ -230,7 +214,13 @@ def _binomial_pmf_row(alpha: float, n: int) -> np.ndarray:
     if n:
         k = np.arange(1, n + 1, dtype=np.longdouble)
         ratios = (np.longdouble(n) - k + 1) / k * (a / (1 - a))
-        row[1:] = row[0] * np.cumprod(ratios)
+        with np.errstate(over="ignore", invalid="ignore"):
+            row[1:] = row[0] * np.cumprod(ratios)
+    if not np.isfinite(row).all():
+        raise ValueError(
+            f"Binomial(n={n}, alpha={alpha}) pmf is out of extended-precision range: "
+            f"the anchor (1-alpha)**n = {row[0]!s} is too small and the ratio recurrence overflows"
+        )
     return row
 
 

@@ -182,18 +182,39 @@ def test_watchpoints_with_huge_prime_gcd_exit_promptly():
     assert is_b_visible((1, 2), (0, 0), (4611686018427387902, 6917529027641081853))
 
 
-def test_import_loads_scipy_only_for_exact():
-    # scipy.special costs about 0.3 s of every process's start-up, and only the
-    # exact oracles use it; checked in a fresh interpreter
+def test_walkvis_never_imports_scipy():
+    # numpy is the only runtime dependency; checked in a fresh interpreter,
+    # also after an exact oracle ran
     proc = run_fresh_python(
         "import sys, walkvis, walkvis.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "from walkvis.estimators import exact_expectation_walkers\n"
-        "print(exact_expectation_walkers((2, 3), [0.5], 5) == 0.8125, 'scipy.special' in sys.modules)\n",
+        "assert exact_expectation_walkers((2, 3), [0.5], 5) == 0.8125\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n",
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True True"]
+    assert proc.stdout.splitlines() == ["[]"]
+
+
+def test_verify_mean_value_five_shifts_finishes():
+    # the shifted sum is sieved as a product over primes; a sum over subsets
+    # of prime supports would cost exponentially more with each shift
+    argv = ["verify", "mean-value", "--kind", "watchpoints-shifted", "--b", "1,3",
+            "--shifts", "0,1,2,3,4", "--x", "20000"]
+    proc = run_fresh_python(f"from walkvis.cli import main; raise SystemExit(main({argv!r}))", timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(",PASS,") == 2
+
+
+def test_verify_congruence_sum_out_of_range_exits_2(capsys):
+    # at alpha = 0.99 the longdouble binomial row overflows from n = 2467 on
+    code, out = run_cli("verify", "congruence-sum", "--alpha", "0.99", "--n", "2466", "--d", "3")
+    assert code == 0
+    assert out.count(",PASS,") == 2
+    code, out = run_cli("verify", "congruence-sum", "--alpha", "0.99", "--n", "2467", "--d", "3")
+    assert code == 2
+    assert out == ""
+    assert "n=2467, alpha=0.99" in capsys.readouterr().err
 
 
 def test_simulate_single_step_proportion_binary():
@@ -441,7 +462,7 @@ SURFACE = [
                ["residue classes partition the total mass", "PASS", "|sum-1| = 0.00e+00"]]}),
     (["verify", "mean-value", "--kind", "walker-moment", "--b", "2,3", "--x", "1000", "--r", "2"],
      {"command": "verify", "check": "mean-value", "kind": "walker-moment", "b": BExponent(2, 3), "x": 1000, "r": 2,
-      "J": None, "shifts": None, "format": "csv"},
+      "shifts": None, "format": "csv"},
      {"command": "verify mean-value", "seed": None,
       "parameters": {"kind": "walker-moment", "b": [2, 3], "x": 1000, "r": 2, "shifts": None},
       "columns": CHECK_COLUMNS,
@@ -498,6 +519,3 @@ def test_verify_mean_value_missing_input_exits_2():
         code, out = run_cli("verify", "mean-value", "--b", "2,3", "--x", "1000", *argv)
         assert code == 2
         assert out == ""
-    code, _ = run_cli("verify", "mean-value", "--kind", "watchpoints-shifted", "--b", "2,3", "--x", "1000",
-                      "--shifts", "0,1", "--J", "3")
-    assert code == 2

@@ -223,6 +223,26 @@ def test_raw_watchpoint_list_matches_validated_set():
         assert aggregate_trials(specs[0], theory) == aggregate_trials(specs[1], theory)
 
 
+def test_raw_watchpoint_list_validated_once(monkeypatch):
+    # n = 100 takes the per-trial path, whose trials must not validate again
+    raw = [(0, 0), (1, 2), (2, 1)]
+    wset = validate_watchpoint_set((1, 2), raw)
+    theory = density_watchpoints((1, 2), 3)
+    want = aggregate_trials(SimulationSpec(wset.b, WatchpointsMode(wset, WalkerConfig(0.5)), 100, 20, 7), theory)
+    calls = []
+
+    def counting(b, points):
+        calls.append(points)
+        return validate_watchpoint_set(b, points)
+
+    monkeypatch.setattr(walkvis.estimators, "validate_watchpoint_set", counting)
+    spec = SimulationSpec(wset.b, WatchpointsMode(raw, WalkerConfig(0.5)), 100, 20, 7)
+    for threads in (1, 2):
+        calls.clear()
+        assert aggregate_trials(spec, theory, threads=threads) == want
+        assert len(calls) == 1
+
+
 def test_monte_carlo_agrees_with_exact_oracle():
     b = (1, 2)
     wset = validate_watchpoint_set(b, [(0, 0), (1, 2), (2, 1)])

@@ -1,10 +1,13 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from walkvis.numtheory import DensityResult, zeta_int
+from walkvis.numtheory import DensityResult, as_bexp, zeta_int
 from walkvis.theory import (
+    _f_bs_table,
     binomial_congruence_sum,
     density_walkers,
     density_watchpoints,
@@ -125,6 +128,18 @@ def test_f_b_vector_matches_pointwise():
             assert math.isclose(vec[n], f_b_value(b, n), rel_tol=1e-13)
 
 
+def test_f_b_table_digests_pinned():
+    # the f_b tables are bit-identical to the earlier per-prime multiples sieve
+    want = {
+        (1, 1): "0a958be0b2ba0611ba58c67eee6b036543216b7980187e50d55f6ec1c76355f4",
+        (1, 2): "8c8f27264010ea9312eb8b5eab84fa1510bb0eeb98933a7d54eb0ce88d00178f",
+        (2, 3): "e0d9302e3bad95e0d833eaa765a6f4302076bcb624f78a372d0fb33e24ec2bc6",
+        (3, 2): "d8447c7b52ae6aaaa37d6cd9b2a503b9bf8f2ddf8a38617722f1268521693707",
+    }
+    for b, digest in want.items():
+        assert hashlib.sha256(f_b_values_upto(b, 10**5).tobytes()).hexdigest() == digest, b
+
+
 def test_f_bs_examples():
     # divisors of 4 with d | 4: mu(1)/1 + mu(2)/4 + mu(4)/16 = 1 - 1/4
     assert f_bs_value((1, 2), [0], 4) == pytest.approx(0.75, abs=1e-15)
@@ -143,7 +158,7 @@ def test_f_bs_reduces_to_f_b():
 
 
 def test_f_bs_two_shifts_brute_force():
-    # direct double loop over admissible (d1, d2) as an independent oracle
+    # direct loop over admissible (d_1..d_J) as an independent oracle
 
     def brute(b1, b2, s, n):
         total = 0.0
@@ -162,19 +177,11 @@ def test_f_bs_two_shifts_brute_force():
                 out = -out
             return out
 
-        for d1 in range(1, lim):
-            if (n - s[0]) % d1**b1:
+        choices = [[d for d in range(1, lim) if (n - sj) % d**b1 == 0 and mu(d)] for sj in s]
+        for ds in itertools.product(*choices):
+            if any(math.gcd(d1, d2) != 1 for d1, d2 in itertools.combinations(ds, 2)):
                 continue
-            m1 = mu(d1)
-            if m1 == 0:
-                continue
-            for d2 in range(1, lim):
-                if (n - s[1]) % d2**b1 or math.gcd(d1, d2) != 1:
-                    continue
-                m2 = mu(d2)
-                if m2 == 0:
-                    continue
-                total += m1 * m2 / (d1 * d2) ** b2
+            total += math.prod(mu(d) for d in ds) / math.prod(ds) ** b2
         return total
 
     for n in (10, 36, 97, 250):
@@ -182,6 +189,16 @@ def test_f_bs_two_shifts_brute_force():
         assert math.isclose(got, brute(1, 2, [0, 3], n), rel_tol=1e-12)
         got = f_bs_value((2, 3), [1, -1], n)
         assert math.isclose(got, brute(2, 3, [1, -1], n), rel_tol=1e-12)
+        got = f_bs_value((1, 2), [0, 1, 2], n)
+        assert math.isclose(got, brute(1, 2, [0, 1, 2], n), rel_tol=1e-12)
+
+
+def test_f_bs_table_matches_pointwise():
+    # the sieve multiplies the same factors in the same order as f_bs_value
+    for b, s in [((1, 2), (0, 3)), ((2, 3), (1, -1)), ((1, 1), (0, 1, 2)), ((1, 3), (5, -7, 5))]:
+        lo = max(abs(v) for v in s) + 1
+        table = _f_bs_table(as_bexp(b), s, lo, lo + 2000)
+        assert table.tolist() == [f_bs_value(b, s, n) for n in range(lo, lo + 2001)], (b, s)
 
 
 def test_mean_value_walker_moment():
@@ -206,6 +223,22 @@ def test_mean_value_shifted_negative_shift():
     assert abs(rep.partial_sum / rep.x - density_watchpoints((1, 2), 1).value) < 0.01
 
 
+def test_mean_value_shifted_partial_sums_pinned():
+    for b, x, s, want in [
+        ((1, 2), 2000, [0, 3], "1351.8848326677191"),
+        ((2, 3), 3000, [1, -1], "2786.330795824809"),
+        ((1, 2), 1000, [0, 1, 2], "533.5628331922125"),
+        ((1, 2), 5000, [-3], "4157.236644839295"),
+    ]:
+        assert repr(mean_value_check("watchpoints-shifted", b, x, shifts=s).partial_sum) == want, (b, x, s)
+
+
+def test_mean_value_shifted_sum_empty_below_the_shifts():
+    # no n in max|s_j| < n <= x: the partial sum is empty
+    for s in ([150], [-100], [0, 150]):
+        assert mean_value_check("watchpoints-shifted", (2, 3), 100, shifts=s).partial_sum == 0.0
+
+
 def test_mean_value_domain_errors():
     with pytest.raises(ValueError):
         mean_value_check("walker-moment", (2, 1), 1000, r=2)  # b1 > b2
@@ -227,6 +260,9 @@ def test_binomial_congruence_sum():
         binomial_congruence_sum(0.5, 10, 5, 5)
     with pytest.raises(ValueError):
         binomial_congruence_sum(1.5, 10, 5, 0)
+    # the longdouble row overflows: 0.5**16392 is too small an anchor
+    with pytest.raises(ValueError, match="extended-precision range"):
+        gcdb_conditioned_binomial_sum((1, 2), 0.5, 16392, 7, [0], [0])
 
 
 def test_gcdb_conditioned_hand_case():
