@@ -17,11 +17,12 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .numtheory import BExponent, CapacityError, DensityResult, as_bexp
-from .visibility import WatchpointSet, _kernel, validate_watchpoint_set, visible_mask
+from .visibility import WatchpointSet, _has_power_divisor, validate_watchpoint_set, visible_mask
 from .walk import (
     MASK64,
     WalkerConfig,
@@ -37,7 +38,7 @@ from .walk import (
 EXACT_STEP_CAP = 2000
 
 _CHUNK = 1 << 20
-# Points within this reach of the origin keep every kernel table the alive
+# Points within this reach of the origin keep every bit table the alive
 # path builds (windows up to twice the largest value) below 2**53, whose
 # square root stays inside MAX_TABLE_ENTRIES.
 _ALIVE_REACH = 1 << 52
@@ -139,15 +140,19 @@ def _positions(seed_col, incs, threshold, x_prev, z, w, right) -> np.ndarray:
     return x
 
 
-def _candidates(lo: int, i: np.ndarray, points) -> np.ndarray:
-    """The steps i at which, for some point, s = i - (u + v) is 0 or has a
-    prime p with p**lo | s.  Elsewhere every displacement from every point is
-    visible unless it lies on an axis: an off-axis hidden displacement
-    (dx, dy) has p**lo dividing both, so dx + dy = s."""
-    cand = np.zeros(i.size, dtype=bool)
+# The trials of a request share their step chunks, so one entry serves them all.
+@lru_cache(maxsize=1)
+def _candidates(lo: int, start: int, cnt: int, points) -> np.ndarray:
+    """Over the steps i = start + 1 .. start + cnt, those at which, for some
+    point, s = i - (u + v) is 0 or has a prime p with p**lo | s.  Elsewhere
+    every displacement from every point is visible unless it lies on an
+    axis: an off-axis hidden displacement (dx, dy) has p**lo dividing both,
+    so dx + dy = s.  Read-only, so trials on other threads may share it."""
+    i = np.arange(start + 1, start + cnt + 1, dtype=np.int64)
+    cand = np.zeros(cnt, dtype=bool)
     for u, v in points:
-        s = np.abs(i - (u + v))
-        cand |= (_kernel(lo, s) != 1) | (s == 0)
+        cand |= _has_power_divisor(lo, i, start + 1, start + cnt, u + v)
+    cand.flags.writeable = False
     return cand
 
 
@@ -225,6 +230,7 @@ def _visible_counts(b, trial_seeds: np.ndarray, alphas, points, n: int) -> np.nd
     displacement could leave int64.
     """
     _check_steps(points, n)
+    points = tuple((int(u), int(v)) for u, v in points)  # hashable, for _candidates
     thresholds = [right_threshold(a) for a in alphas]
     lo = as_bexp(b).lo
     prune = (
@@ -252,11 +258,9 @@ def _visible_counts(b, trial_seeds: np.ndarray, alphas, points, n: int) -> np.nd
             for j in range(1 if alive_path else len(thresholds)):
                 x = _positions(seeds[:, j, None], incs, thresholds[j], x_prev[:, j], z, w, r)
                 np.subtract(i, x, out=y)
-                xf, yf = x.ravel(), y.ravel()
-                for u, v in points:
-                    ok &= visible_mask(b, xf - u if u else xf, yf - v if v else yf)
+                ok &= visible_mask(b, x.ravel(), y.ravel(), points)
             if alive_path:
-                cand = _candidates(lo, i, points)
+                cand = _candidates(lo, start, cnt, points)
                 alive = np.flatnonzero(ok & cand)
                 padded = flags[: (cnt // 8 + 1) * 8]
                 padded[cnt:] = False
@@ -268,9 +272,7 @@ def _visible_counts(b, trial_seeds: np.ndarray, alphas, points, n: int) -> np.nd
                     idx = np.concatenate((alive, _axis_steps(p, c, cnt, x0, start, points, cand)))
                     xs = x0 + _count_through(p, c, idx)
                     ys = idx + (start + 1) - xs
-                    vis = np.ones(idx.size, dtype=bool)
-                    for u, v in points:
-                        vis &= visible_mask(b, xs - u if u else xs, ys - v if v else ys)
+                    vis = visible_mask(b, xs, ys, points)
                     ok[idx[~vis]] = False
                     alive = alive[vis[: alive.size]]
             counts[t0 : t0 + tb] += np.count_nonzero(ok.reshape(tb, cnt), axis=1)
@@ -399,9 +401,7 @@ def _visible_mass(b, points, alphas, n: int) -> np.ndarray:
     for i in range(1, n + 1):
         k = np.arange(i + 1, dtype=np.int64)
         kf = k.astype(np.float64)
-        ok = np.ones(i + 1, dtype=bool)
-        for u, v in points:
-            ok &= visible_mask(b, k - u, (i - k) - v)
+        ok = visible_mask(b, k, i - k, points)
         base = lf[i] - lf[k] - lf[i - k]
         for c, (log_a, log_1a) in enumerate(logs):
             mass[i - 1, c] = np.exp(base + kf * log_a + (i - kf) * log_1a)[ok].sum()

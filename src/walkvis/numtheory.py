@@ -138,7 +138,10 @@ _TRIAL_LIMIT = 1 << 10
 
 def _is_prime(n: int) -> bool:
     """Miller-Rabin for odd n with no prime factor up to 41: exact below
-    _MR_LIMIT, and past it a False still proves n composite."""
+    _MR_LIMIT.  Past it a False still proves n composite, and a True needs
+    a strong Lucas test as well (together Baillie-PSW, with base 2 among
+    the bases): no composite is known to pass both, but none is proven to
+    fail, so past _MR_LIMIT a True means a probable prime."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -153,7 +156,59 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_LIMIT or _is_strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """The strong Lucas probable-prime test of odd n > 1 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D)/4.  With n + 1 = d * 2**s, d odd, n passes when U_d = 0 or
+    V_(d * 2**r) = 0 (mod n) for some 0 <= r < s.  Primes always pass."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D would have (D/n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return abs(D) == n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:  # x / 2 mod n, n odd
+        x %= n
+        return (x + n * (x & 1)) >> 1
+
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1 = P and Q**1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n  # k -> 2k
+        if bit == "1":  # 2k -> 2k + 1
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _rho_divisor(n: int) -> int:
@@ -196,24 +251,18 @@ def _iroot(n: int, k: int) -> int:
 def _prime_divisors(n: int) -> set[int]:
     """Distinct primes of n > 1 with no prime factor below _TRIAL_LIMIT.
 
-    An n that Miller-Rabin calls composite is first tested for n = r**k, and
+    An n that _is_prime calls composite is first tested for n = r**k, and
     split by rho only when it is no perfect power: rho needs about sqrt(p)
     steps on p**k.  Every prime factor exceeds 2**10, so k <= bit_length/10.
-    An n at or past _MR_LIMIT that passes every base is a probable prime,
-    which is trial-divided: for a large one that can take very long.
+    At or past _MR_LIMIT a prime is a Baillie-PSW probable prime (unproven).
     """
-    if not _is_prime(n):
-        for k in range(2, n.bit_length() // 10 + 1):
-            r = _iroot(n, k)
-            if r**k == n:
-                return _prime_divisors(r)
-        d = _rho_divisor(n)
-    elif n < _MR_LIMIT:
+    if _is_prime(n):
         return {n}
-    else:
-        d = next((d for d in range(_TRIAL_LIMIT + 1, math.isqrt(n) + 1, 2) if n % d == 0), n)
-        if d == n:
-            return {n}
+    for k in range(2, n.bit_length() // 10 + 1):
+        r = _iroot(n, k)
+        if r**k == n:
+            return _prime_divisors(r)
+    d = _rho_divisor(n)
     return _prime_divisors(d) | _prime_divisors(n // d)
 
 
@@ -222,9 +271,8 @@ def factorize_distinct(x: int, tables: PrimeTables | None = None) -> Iterator[tu
 
     Uses the spf walk when x is in range.  Otherwise it trial-divides below
     _TRIAL_LIMIT, and splits the cofactor with Miller-Rabin, k-th roots and rho.
-    A factor at or past _MR_LIMIT that passes every Miller-Rabin base, which
-    those bases no longer prove prime, is trial-divided: for a large one that
-    can take very long.
+    A factor at or past _MR_LIMIT (about 3.3e24) is called prime by the
+    Baillie-PSW probable-prime test, which is unproven there.
     """
     if x < 1:
         raise ValueError(f"cannot factor {x}")

@@ -25,7 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .numtheory import (
+    MAX_TABLE_ENTRIES,
     BExponent,
+    CapacityError,
     DensityResult,
     _euler_primes,
     as_bexp,
@@ -128,6 +130,8 @@ def _f_bs_table(bb: BExponent, s: ShiftVector, lo: int, hi: int) -> np.ndarray:
     multiplies, so the two agree bit for bit."""
     if hi < lo:
         return np.ones(0)
+    if hi - lo + 1 > MAX_TABLE_ENTRIES:
+        raise CapacityError(f"f_b table on [{lo}, {hi}] exceeds the cap of {MAX_TABLE_ENTRIES} entries")
     vals = np.ones(hi - lo + 1)
     top = hi - min(s)  # the largest n - s_j; at least 1 once lo > max|s_j|
     span = max(s) - min(s)
@@ -208,6 +212,8 @@ def _binomial_pmf_row(alpha: float, n: int) -> np.ndarray:
     longdouble range that the running product of ratios overflows, the row
     cannot be formed this way and a ValueError says so.
     """
+    if n + 1 > MAX_TABLE_ENTRIES:
+        raise CapacityError(f"a Binomial(n={n}) pmf row exceeds the cap of {MAX_TABLE_ENTRIES} entries")
     a = np.longdouble(alpha)
     row = np.empty(n + 1, dtype=np.longdouble)
     row[0] = (1 - a) ** np.longdouble(n)
@@ -224,20 +230,27 @@ def _binomial_pmf_row(alpha: float, n: int) -> np.ndarray:
     return row
 
 
-def binomial_congruence_sum(alpha: float, n: int, d: int, a: int) -> float:
-    """Binomial(n, alpha) mass on the residue class k = a (mod d).
+def binomial_congruence_sums(alpha: float, n: int, d: int) -> list[float]:
+    """Binomial(n, alpha) mass on each residue class k = a (mod d), a = 0..d-1,
+    from one pmf row.
 
-    Tends to 1/d at rate O(n^-1/2); d = 1 gives the whole mass, and the d
-    classes of any modulus partition it.
+    Each tends to 1/d at rate O(n^-1/2); d = 1 gives the whole mass, and the
+    d classes of any modulus partition it.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+    row = _binomial_pmf_row(alpha, n)
+    return [float(math.fsum(row[a::d].astype(np.float64).tolist())) for a in range(d)]
+
+
+def binomial_congruence_sum(alpha: float, n: int, d: int, a: int) -> float:
+    """Binomial(n, alpha) mass on the residue class k = a (mod d); see
+    binomial_congruence_sums."""
     if not 0 <= a < d:
         raise ValueError(f"residue must satisfy 0 <= a < d, got a={a}")
-    row = _binomial_pmf_row(alpha, n)
-    return float(math.fsum(row[a::d].astype(np.float64).tolist()))
+    return binomial_congruence_sums(alpha, n, d)[a]
 
 
 def gcdb_conditioned_binomial_sum(

@@ -134,71 +134,123 @@ def validate_watchpoint_set(b, points: Sequence) -> WatchpointSet:
     return WatchpointSet(bb, tuple(pts))
 
 
-# A call reads at most two tables (K_b1 and K_b2); more cached tables
-# measurably raised peak RSS on the Table 1 workload.
+# Bits of the tables M_e: bit 3 + k says whether the k-th prime of
+# _BIT_PRIMES (2..283) has p**e | m.  Bit 0 stands for every larger prime:
+# for e >= 2 it is set exactly when some p**e | m, while for e = 1 it is set
+# at every m >= 2 and leaves the decision to the other exponent.  Bits 1 and
+# 2 carry the axis rule crosswise (see _bit_table), and m = 0 sets every bit.
+_BIT_PRIMES = tuple(sieve_primes(283).tolist())
+_PAST = 1
+_DIVISOR_BITS = ~np.uint64(6)  # every bit but the axis bits
+
+
+# A call reads two tables per window (M_b1 for dx and M_b2 for dy); more
+# cached tables measurably raised peak RSS on the Table 1 workload.
 @lru_cache(maxsize=2)
-def _kernel_table(e: int, lo: int, hi: int) -> np.ndarray:
-    """K_e[m] for lo <= m <= hi, at index m - lo: the product of the primes p
-    with p**e | m, and 1 at m = 0.  Read-only, so threads may share it."""
-    root = int(hi ** (1.0 / e)) + 1  # at or just past the e-th root; extra primes stride nothing
+def _bit_table(e: int, axis: int, lo: int, hi: int) -> np.ndarray:
+    """M_e[m] for 0 <= lo <= m <= hi, at index m - lo, for the dx (axis 0)
+    or dy (axis 1) coordinate.  The dx table sets bit 1 at m = 0 and bit 2
+    at m != 1, the dy table the reverse, so the AND of a dx and a dy entry
+    has bit 1 or 2 exactly when one coordinate is 0 and the other is not 1.
+    Read-only, so threads may share it.  Raises CapacityError past
+    MAX_TABLE_ENTRIES entries, or for e >= 2 past a sieve that long.
+    """
+    # at or just past the e-th root (extra primes stride nothing); no sieve at e = 1
+    root = int(hi ** (1.0 / e)) + 1 if e > 1 else _BIT_PRIMES[-1]
     if root + 1 > MAX_TABLE_ENTRIES or hi - lo + 1 > MAX_TABLE_ENTRIES:
         raise CapacityError(
-            f"kernel table K_{e} on [{lo}, {hi}] needs a sieve to {root} over "
+            f"visibility table M_{e} on [{lo}, {hi}] needs a sieve to {root} over "
             f"{hi - lo + 1} entries, beyond the cap of {MAX_TABLE_ENTRIES}"
         )
-    table = np.ones(hi - lo + 1, dtype=np.int32 if hi < 2**31 else np.int64)
-    first = max(lo, 1)
-    for p in sieve_primes(root).tolist():
+    nonunit = np.uint64(4 >> axis)
+    table = np.full(hi - lo + 1, nonunit | np.uint64(_PAST if e == 1 else 0), dtype=np.uint64)
+    primes = _BIT_PRIMES if e == 1 else sieve_primes(root).tolist()
+    for k, p in enumerate(primes):
         q = p**e
-        table[-(-first // q) * q - lo :: q] *= p
+        table[-(-lo // q) * q - lo :: q] |= np.uint64(1 << (3 + k) if k < len(_BIT_PRIMES) else _PAST)
+    if lo <= 1 <= hi:
+        table[1 - lo] = 0
+    if lo == 0:
+        table[0] = ~np.uint64(0)
     table.flags.writeable = False
     return table
 
 
-def _kernel(e: int, v: np.ndarray) -> np.ndarray:
-    """K_e at every entry of the nonnegative array v (v itself when e = 1).
+def _bits(e: int, axis: int, v: np.ndarray, vmin: int, vmax: int, shift: int) -> np.ndarray:
+    """M_e[|v - shift|] (see _bit_table) at every entry of v, whose values
+    lie in [vmin, vmax].
 
-    The table starts at base, the multiple of g at or below min(v), where g
-    is the power of two above the spread of v, and its length is the power
-    of two (g or 2g) that reaches max(v).  Successive calls on one walk thus
-    share a window, built once.
+    The table starts at base, the multiple of g at or below the least
+    |v - shift|, where g is the power of two above their spread, and its
+    length is the power of two (g or 2g) that reaches their largest value.
+    Successive calls on one walk, and points near one another, thus share a
+    window, built once.  Only a range of v - shift that straddles 0 pays for
+    an abs pass.
     """
-    if e == 1 or v.size == 0:
-        return v
-    lo, hi = int(v.min()), int(v.max())
+    a, c = vmin - shift, vmax - shift
+    lo, hi = (a, c) if a >= 0 else (-c, -a) if c <= 0 else (0, max(-a, c))
     g = 1 << (hi - lo).bit_length()
     base = lo - lo % g
-    table = _kernel_table(e, base, base + (1 << (hi - base).bit_length()) - 1)
-    return table[v - base] if base else table[v]
+    table = _bit_table(e, axis, base, base + (1 << (hi - base).bit_length()) - 1)
+    if a >= 0:
+        return table[v - (shift + base)] if shift + base else table[v]
+    if c <= 0:
+        return table[(shift - base) - v]
+    return table[np.abs(v - shift) if shift else np.abs(v)]  # base is 0 here
 
 
-def visible_mask(b, dx, dy) -> np.ndarray:
-    """Vectorized is_b_visible over displacement arrays of any shape.
+def _has_power_divisor(e: int, v: np.ndarray, vmin: int, vmax: int, shift: int) -> np.ndarray:
+    """Whether v - shift is 0 or has a prime p with p**e | v - shift, at
+    every entry of v, whose values lie in [vmin, vmax]; e >= 2, where bit 0
+    of M_e is exact."""
+    r = _bits(e, 0, v, vmin, vmax, shift)
+    r &= _DIVISOR_BITS
+    return r != 0
+
+
+def visible_mask(b, dx, dy, points=((0, 0),)) -> np.ndarray:
+    """Vectorized is_b_visible over same-shape arrays of positions: whether
+    (dx, dy) is b-visible from every point (u, v), that is, whether each
+    displacement (dx - u, dy - v) is.
 
     Matches the scalar predicate exactly, shared-coordinate rule included;
     the all-zero displacement maps to False (a walker standing on a
     watchpoint does not count as visible).  An off-axis displacement is
-    invisible exactly when some prime p has p**b1 | dx and p**b2 | dy, that
-    is when gcd(K_b1[|dx|], K_b2[|dy|]) > 1, where K_e[m] is the product of
-    the primes whose e-th power divides m (K_1[m] may be taken as m).  The
-    K_e are looked up in cached tables over a window of the values, and the
-    gcd runs only where both kernels exceed 1.  Raises CapacityError when a
-    table would need a sieve past MAX_TABLE_ENTRIES.
+    invisible exactly when some prime p has p**b1 | dx - u and
+    p**b2 | dy - v.  Each point's two entries of the cached prime bit-set
+    tables, M_b1 at |dx - u| and M_b2 at |dy - v| (see _bit_table), are
+    ANDed, and the points' results ORed into one accumulator r: r = 0 is
+    visible, r = 1 (bit 0 alone: both coordinates have a prime power past
+    283, maybe of different primes) is rechecked by factoring, and
+    anything else is hidden.  b = (1, 1) takes np.gcd instead, since every
+    prime matters there.  Raises CapacityError when a table would need a
+    sieve past MAX_TABLE_ENTRIES.
     """
     bb = as_bexp(b)
-    a = np.abs(dx)
-    c = np.abs(dy)
+    dx, dy = np.asarray(dx), np.asarray(dy)
+    if dx.size == 0:
+        return np.ones(dx.shape, dtype=bool)
     if bb.b1 == 1 and bb.b2 == 1:
-        bad = np.gcd(a, c) != 1
-    else:
-        ka = _kernel(bb.b1, a)
-        kc = _kernel(bb.b2, c)
-        bad = (ka > 1) & (kc > 1)
-        hit = np.nonzero(bad)
-        bad[hit] = np.gcd(ka[hit], kc[hit]) > 1
-    vis = ~bad
-    zx = a == 0
-    zy = c == 0
-    vis[zx] = c[zx] == 1
-    vis[zy] = a[zy] == 1
+        vis = np.ones(dx.shape, dtype=bool)
+        for u, v in points:
+            vis &= np.gcd(dx - u, dy - v) == 1
+        return vis
+    xr = int(dx.min()), int(dx.max())
+    yr = int(dy.min()), int(dy.max())
+    acc = None
+    for u, v in points:
+        r = _bits(bb.b1, 0, dx, *xr, u)
+        r &= _bits(bb.b2, 1, dy, *yr, v)
+        if acc is None:
+            acc = r
+        else:
+            acc |= r
+    vis = acc == 0
+    for k in np.flatnonzero(acc == _PAST).tolist():
+        x, y = int(dx.flat[k]), int(dy.flat[k])
+        # a point on an axis of (x, y) left r <= 1, so sees it by the axis rule
+        vis.flat[k] = not any(
+            x != u and y != v and _has_common_curve_divisor(bb, abs(x - u), abs(y - v), None)
+            for u, v in points
+        )
     return vis

@@ -89,7 +89,7 @@ def test_simulate_budget_exits_4():
 
 
 def test_simulate_far_watchpoint_matches_scalar_oracle():
-    # a watchpoint near x = 1e9 gets a kernel table over its own window
+    # a watchpoint near x = 1e9 gets a bit table over its own window
     wps = [(0, 0), (1_000_000_001, 1)]
     n, seed = 100_000, 5
     code, out = run_cli(
@@ -215,6 +215,20 @@ def test_verify_congruence_sum_out_of_range_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "n=2467, alpha=0.99" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "mean-value", "--kind", "walker-moment", "--b", "1,2", "--r", "2", "--x", "1000000000"),
+    ("verify", "mean-value", "--kind", "watchpoints-shifted", "--b", "1,2", "--shifts", "0,3",
+     "--x", "1000000000"),
+    ("verify", "congruence-sum", "--alpha", "0.5", "--n", "1000000000", "--d", "3"),
+])
+def test_verify_inputs_past_table_cap_exit_4(argv, capsys):
+    # refused before any table of 1e9 entries is allocated
+    code, out = run_cli(*argv)
+    assert code == 4
+    assert out == ""
+    assert "exceeds the cap" in capsys.readouterr().err
 
 
 def test_simulate_single_step_proportion_binary():

@@ -10,11 +10,13 @@ import pytest
 from walkvis.numtheory import (
     BExponent,
     CapacityError,
+    _is_strong_lucas_prp,
     as_bexp,
     build_tables,
     euler_product_truncated,
     factorize_distinct,
     gcd_b,
+    sieve_primes,
     zeta_int,
 )
 from walkvis.verify import gcd_b_bruteforce
@@ -166,6 +168,33 @@ def test_factorize_distinct_splits_composite_past_mr_limit():
         "print(list(factorize_distinct(x)))"
     )
     assert out.strip() == str([(2**31 - 1, 1), (2**61 - 1, 1)])
+
+
+def test_factorize_distinct_past_mr_limit_uses_bpsw():
+    # 2**89 - 1 passes every Miller-Rabin base past their bound; the strong
+    # Lucas test then calls it a probable prime, so it is not trial-divided
+    m31, m89 = 2**31 - 1, 2**89 - 1
+    out = run_with_time_limit(
+        "from walkvis.numtheory import factorize_distinct\n"
+        f"for x in ({m89}, {m31} * {m89}, 1031 * {m89}**2):\n"
+        "    print(list(factorize_distinct(x)))"
+    )
+    assert out.split("\n")[:3] == [
+        str([(m89, 1)]),
+        str([(m31, 1), (m89, 1)]),
+        str([(1031, 1), (m89, 2)]),
+    ]
+
+
+def test_strong_lucas_pseudoprimes_below_1e5():
+    # the composites below 1e5 that pass the strong Lucas test with
+    # Selfridge's parameters (OEIS A217255); every prime passes
+    primes = set(sieve_primes(100_000).tolist())
+    passing = [n for n in range(3, 100_000, 2) if _is_strong_lucas_prp(n)]
+    assert [n for n in passing if n not in primes] == [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+    ]
+    assert primes - {2} <= set(passing)
 
 
 def test_factorize_distinct_splits_prime_powers():

@@ -248,6 +248,18 @@ def test_mean_value_domain_errors():
         mean_value_check("nonsense", (1, 2), 1000, r=2)
 
 
+def test_congruence_check_builds_one_binomial_row(monkeypatch):
+    import walkvis.theory as theory
+    from walkvis.verify import check_congruence_sum
+
+    builds = []
+    real = theory._binomial_pmf_row
+    monkeypatch.setattr(theory, "_binomial_pmf_row", lambda *a: builds.append(a) or real(*a))
+    results = check_congruence_sum(0.3, 10_000, 7)
+    assert builds == [(0.3, 10_000)]
+    assert all(r.passed for r in results)
+
+
 def test_binomial_congruence_sum():
     assert binomial_congruence_sum(0.37, 500, 1, 0) == pytest.approx(1.0, abs=1e-13)
     for a in range(7):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walkvis.numtheory import CapacityError
+import walkvis.visibility as visibility
+from walkvis.estimators import _candidates
+from walkvis.numtheory import CapacityError, factorize_distinct
 from walkvis.visibility import (
     WatchpointValidationError,
     curve_oracle_visible,
@@ -135,8 +137,74 @@ def test_visible_mask_matches_scalar_differential(b, deltas, offset, offset_on_x
         assert got == want, (b, p)
 
 
+def _scalar_mask(b, xs, ys, points):
+    return [
+        all((x, y) != (u, v) and is_b_visible(b, (x, y), (u, v)) for u, v in points)
+        for x, y in zip(xs.tolist(), ys.tolist())
+    ]
+
+
+def test_visible_mask_rechecks_primes_past_the_bits(monkeypatch):
+    # 293 is the first prime without a bit of its own: these displacements
+    # reach bit 0 of both tables, which only the scalar recheck decides
+    p, q = 293, 307
+    k = np.arange(1, 9, dtype=np.int64)  # narrow value ranges keep the tables small
+    cases = [
+        ((1, 2), p * k, p * p * k),  # hidden at 293 unless a smaller prime hides it too
+        ((1, 2), p * k + 1, p * p * k),
+        ((1, 2), q * k, p * p * k),
+        ((2, 3), p * p * k, np.full(8, p**3)),
+        ((2, 3), p * p * k, np.full(8, 2 * q**3)),  # bit 0 on both sides, of different primes
+    ]
+    cases += [((b2, b1), dy, dx) for (b1, b2), dx, dy in cases]  # the axes swapped
+    points = ((0, 0), (1, 2), (2, 1))
+    want = [_scalar_mask(b, dx, dy, points) for b, dx, dy in cases]
+    calls = []
+    real = visibility._has_common_curve_divisor
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(visibility, "_has_common_curve_divisor", counted)
+    for (b, dx, dy), w in zip(cases, want):
+        assert visible_mask(b, dx, dy, points).tolist() == w, b
+        assert visible_mask(b, dx, dy).tolist() == _scalar_mask(b, dx, dy, ((0, 0),)), b
+    assert len(calls) > 0
+    assert any(not w for w in sum(want, [])) and any(sum(want, []))
+
+
+@pytest.mark.parametrize("b", [(1, 2), (2, 3), (3, 2), (5, 4)])
+def test_visible_mask_point_ranges_straddling_zero(b):
+    # per point, x - u and y - v lie above 0, below 0, or on both sides of it
+    state = np.random.default_rng(5)
+    xs = state.integers(10, 60, size=400)
+    ys = state.integers(-30, 30, size=400)
+    points = ((0, 0), (35, 0), (100, -40), (-5, 41), (60, 30))
+    assert visible_mask(b, xs, ys, points).tolist() == _scalar_mask(b, xs, ys, points)
+    for pt in points:
+        assert visible_mask(b, xs, ys, (pt,)).tolist() == _scalar_mask(b, xs, ys, (pt,))
+
+
+@pytest.mark.parametrize("lo, start, cnt, points", [
+    (2, 0, 3000, ((0, 0),)),
+    (2, 0, 500, ((0, 0), (1, 2), (2, 1))),
+    (3, 100_000, 2000, ((0, 0), (7, -3), (150_000, 2))),
+    (2, 80_000, 12_000, ((0, 0), (3, -1))),  # s passes 293**2
+])
+def test_candidates_match_factorization(lo, start, cnt, points):
+    def candidate(i):
+        return any(
+            i == u + v or any(k >= lo for _, k in factorize_distinct(abs(i - u - v)))
+            for u, v in points
+        )
+
+    want = [candidate(i) for i in range(start + 1, start + cnt + 1)]
+    assert _candidates(lo, start, cnt, points).tolist() == want
+
+
 def test_visible_mask_far_window_beyond_cap_raises():
-    # K_2 on a window near 1e17 would need a sieve to ~3.2e8 > MAX_TABLE_ENTRIES
+    # M_2 on a window near 1e17 would need a sieve to ~3.2e8 > MAX_TABLE_ENTRIES
     dx = np.array([10**17, 10**17 + 1], dtype=np.int64)
     with pytest.raises(CapacityError):
         visible_mask((2, 1), dx, np.array([1, 2], dtype=np.int64))
