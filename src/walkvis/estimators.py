@@ -142,13 +142,24 @@ def _positions(seed_col, incs, threshold, x_prev, z, w, right) -> np.ndarray:
 
 # The trials of a request share their step chunks, so one entry serves them all.
 @lru_cache(maxsize=1)
+def _chunk_steps(start: int, cnt: int) -> tuple[np.ndarray, np.ndarray]:
+    """The step indices start + 1 .. start + cnt as int64, and their
+    SplitMix64 increments (see stream_increments).  Read-only, so trials on
+    other threads may share them."""
+    i = np.arange(start + 1, start + cnt + 1, dtype=np.int64)
+    incs = stream_increments(start, cnt)
+    i.flags.writeable = incs.flags.writeable = False
+    return i, incs
+
+
+@lru_cache(maxsize=1)
 def _candidates(lo: int, start: int, cnt: int, points) -> np.ndarray:
     """Over the steps i = start + 1 .. start + cnt, those at which, for some
     point, s = i - (u + v) is 0 or has a prime p with p**lo | s.  Elsewhere
     every displacement from every point is visible unless it lies on an
     axis: an off-axis hidden displacement (dx, dy) has p**lo dividing both,
     so dx + dy = s.  Read-only, so trials on other threads may share it."""
-    i = np.arange(start + 1, start + cnt + 1, dtype=np.int64)
+    i = _chunk_steps(start, cnt)[0]
     cand = np.zeros(cnt, dtype=bool)
     for u, v in points:
         cand |= _has_power_divisor(lo, i, start + 1, start + cnt, u + v)
@@ -249,8 +260,7 @@ def _visible_counts(b, trial_seeds: np.ndarray, alphas, points, n: int) -> np.nd
         flags = np.zeros((bufs.shape[1] // 8 + 1) * 8, dtype=bool)  # a False word past the end
         for start in range(0, n, _CHUNK):
             cnt = min(_CHUNK, n - start)
-            i = np.arange(start + 1, start + cnt + 1, dtype=np.int64)
-            incs = stream_increments(start, cnt)
+            i, incs = _chunk_steps(start, cnt)
             z, w = bufs[:, : tb * cnt].reshape(2, tb, cnt)
             r = flags[: tb * cnt].reshape(tb, cnt)
             y = w.view(np.int64)

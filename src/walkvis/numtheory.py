@@ -238,6 +238,20 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
+@lru_cache(maxsize=1)
+def _pm1_exponent() -> int:
+    return math.lcm(*range(1, 4097))
+
+
+def _pm1_divisor(n: int) -> int:
+    """gcd(3**E - 1, n) with E = lcm(1 .. 4096), Pollard's p - 1 stage one:
+    a proper divisor of n when the order of 3 modulo some prime factor
+    divides E (as when p - 1 is 4096-powersmooth) and modulo another does
+    not, else 1 or n.  Base 2 would give n whenever a Mersenne prime
+    2**k - 1, k <= 4096, is a factor: 2 has order k modulo it."""
+    return math.gcd(pow(3, _pm1_exponent(), n) - 1, n)
+
+
 def _iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) for n >= 1, by integer Newton steps from above."""
     x = 1 << -(-n.bit_length() // k)
@@ -251,10 +265,13 @@ def _iroot(n: int, k: int) -> int:
 def _prime_divisors(n: int) -> set[int]:
     """Distinct primes of n > 1 with no prime factor below _TRIAL_LIMIT.
 
-    An n that _is_prime calls composite is first tested for n = r**k, and
-    split by rho only when it is no perfect power: rho needs about sqrt(p)
-    steps on p**k.  Every prime factor exceeds 2**10, so k <= bit_length/10.
-    At or past _MR_LIMIT a prime is a Baillie-PSW probable prime (unproven).
+    An n that _is_prime calls composite is first tested for n = r**k, then
+    given to Pollard's p - 1 stage, and split by rho only when neither
+    splits it: rho needs about sqrt(p) steps for the least prime factor p.
+    Every prime factor exceeds 2**10, so k <= bit_length/10.  Still out of
+    reach: two large primes whose p - 1 are both far from smooth, such as
+    (2**89 - 1) * (2**107 - 1), on which the p - 1 stage gives 1.  At or
+    past _MR_LIMIT a prime is a Baillie-PSW probable prime (unproven).
     """
     if _is_prime(n):
         return {n}
@@ -262,7 +279,9 @@ def _prime_divisors(n: int) -> set[int]:
         r = _iroot(n, k)
         if r**k == n:
             return _prime_divisors(r)
-    d = _rho_divisor(n)
+    d = _pm1_divisor(n)
+    if d in (1, n):
+        d = _rho_divisor(n)
     return _prime_divisors(d) | _prime_divisors(n // d)
 
 

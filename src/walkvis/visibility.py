@@ -176,22 +176,25 @@ def _bit_table(e: int, axis: int, lo: int, hi: int) -> np.ndarray:
     return table
 
 
+def _window(lo: int, hi: int) -> tuple[int, int]:
+    """(base, size) of the table window for values in [lo, hi]: base is the
+    multiple of g at or below lo, where g is the power of two above the
+    spread, and size the power of two (g or 2g) that reaches hi.  Successive
+    calls on one walk, and points near one another, thus share a window."""
+    g = 1 << (hi - lo).bit_length()
+    base = lo - lo % g
+    return base, 1 << (hi - base).bit_length()
+
+
 def _bits(e: int, axis: int, v: np.ndarray, vmin: int, vmax: int, shift: int) -> np.ndarray:
     """M_e[|v - shift|] (see _bit_table) at every entry of v, whose values
-    lie in [vmin, vmax].
-
-    The table starts at base, the multiple of g at or below the least
-    |v - shift|, where g is the power of two above their spread, and its
-    length is the power of two (g or 2g) that reaches their largest value.
-    Successive calls on one walk, and points near one another, thus share a
-    window, built once.  Only a range of v - shift that straddles 0 pays for
-    an abs pass.
+    lie in [vmin, vmax], from the window (see _window) of |v - shift|.
+    Only a range of v - shift that straddles 0 pays for an abs pass.
     """
     a, c = vmin - shift, vmax - shift
     lo, hi = (a, c) if a >= 0 else (-c, -a) if c <= 0 else (0, max(-a, c))
-    g = 1 << (hi - lo).bit_length()
-    base = lo - lo % g
-    table = _bit_table(e, axis, base, base + (1 << (hi - base).bit_length()) - 1)
+    base, size = _window(lo, hi)
+    table = _bit_table(e, axis, base, base + size - 1)
     if a >= 0:
         return table[v - (shift + base)] if shift + base else table[v]
     if c <= 0:
@@ -206,6 +209,34 @@ def _has_power_divisor(e: int, v: np.ndarray, vmin: int, vmax: int, shift: int) 
     r = _bits(e, 0, v, vmin, vmax, shift)
     r &= _DIVISOR_BITS
     return r != 0
+
+
+# One call reads one table per coordinate; more cached tables measurably
+# raised peak RSS on the Table 1 workload.
+@lru_cache(maxsize=2)
+def _lane_table(e: int, axis: int, base: int, size: int, coords: tuple, nprimes: int) -> np.ndarray:
+    """The packed table of one coordinate for several points, at index
+    m - base for base <= m < base + size, where coords holds each point's
+    coordinate c on this axis.  Point k owns the lane of bits kL .. kL+L-1,
+    L = 2 + nprimes, and there reads the entries of M_e (see _bit_table) at
+    |m - c|, restricted to the first nprimes primes: lane bit 2 + q is set
+    when the q-th prime p has p**e | m - c, and lane bits 0 and 1 carry the
+    axis rule crosswise, as bits 1 and 2 of M_e do.  m = c sets the whole
+    lane, |m - c| = 1 none of it.  Read-only, so threads may share it.
+    """
+    width = 2 + nprimes
+    table = np.full(size, sum((2 >> axis) << k * width for k in range(len(coords))), dtype=np.uint64)
+    for k, c in enumerate(coords):
+        for q, p in enumerate(_BIT_PRIMES[:nprimes]):
+            table[(c - base) % p**e :: p**e] |= np.uint64(1 << (k * width + 2 + q))
+        lane = ((1 << width) - 1) << k * width
+        for m in (c - 1, c + 1):
+            if base <= m < base + size:
+                table[m - base] &= np.uint64(~lane & (2**64 - 1))
+        if base <= c < base + size:
+            table[c - base] |= np.uint64(lane)
+    table.flags.writeable = False
+    return table
 
 
 def visible_mask(b, dx, dy, points=((0, 0),)) -> np.ndarray:
@@ -225,6 +256,14 @@ def visible_mask(b, dx, dy, points=((0, 0),)) -> np.ndarray:
     anything else is hidden.  b = (1, 1) takes np.gcd instead, since every
     prime matters there.  Raises CapacityError when a table would need a
     sieve past MAX_TABLE_ENTRIES.
+
+    Two or more points whose lanes fit one uint64 skip that loop.  P holds
+    the primes with p**b1 <= max|x - u| and p**b2 <= max|y - v| over the
+    windows (see _window) of dx and dy and every point, and each point gets
+    a lane of 2 + |P| bits in one table per coordinate (see _lane_table),
+    indexed by the raw coordinate.  A hiding prime lies in P, so
+    (T_x[dx] & T_y[dy]) == 0 is exact: two gathers and one AND per
+    position, whatever the number of points.
     """
     bb = as_bexp(b)
     dx, dy = np.asarray(dx), np.asarray(dy)
@@ -237,6 +276,19 @@ def visible_mask(b, dx, dy, points=((0, 0),)) -> np.ndarray:
         return vis
     xr = int(dx.min()), int(dx.max())
     yr = int(dy.min()), int(dy.max())
+    if len(points) >= 2:
+        (bx, nx), (by, ny) = _window(*xr), _window(*yr)
+        mx = max(max(abs(bx - u), abs(bx + nx - 1 - u)) for u, _ in points)
+        my = max(max(abs(by - v), abs(by + ny - 1 - v)) for _, v in points)
+        # only these primes can hide a displacement within the windows; a
+        # count of all of _BIT_PRIMES means maybe more, and no fit anyway
+        nprimes = sum(1 for p in _BIT_PRIMES if p**bb.b1 <= mx and p**bb.b2 <= my)
+        if len(points) * (2 + nprimes) <= 64 and max(nx, ny) <= MAX_TABLE_ENTRIES:
+            tx = _lane_table(bb.b1, 0, bx, nx, tuple(u for u, _ in points), nprimes)
+            ty = _lane_table(bb.b2, 1, by, ny, tuple(v for _, v in points), nprimes)
+            r = tx[dx - bx] if bx else tx[dx]
+            r &= ty[dy - by] if by else ty[dy]
+            return r == 0
     acc = None
     for u, v in points:
         r = _bits(bb.b1, 0, dx, *xr, u)

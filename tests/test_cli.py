@@ -387,6 +387,11 @@ GOLDEN_CSV = [
     (("simulate", "walkers", "--b", "2,3", "--alphas", "0.5,0.3,0.7", "--steps", "1049000",
       "--trials", "2", "--seed", "17"),
      "6bbe1c4b067506a23d1e9a525f7a29987370775e8a9703bbfd1e845d312fcffb"),
+    # three watchpoints whose lanes fit one word, across the 2**20-step chunk
+    # boundary, so the second chunk's tables start at a base other than 0
+    (("simulate", "watchpoints", "--b", "2,5", "--watchpoints", "0,0;1,2;2,1", "--alpha", "0.5",
+      "--steps", "1049000", "--trials", "1", "--seed", "19"),
+     "95c860009a248f9077919a27fcc3ac883b140fcd42440a8c9407559e9e13495a"),
 ]
 GOLDEN_EXACT_CSV = [
     (("exact", "watchpoints", "--b", "1,2", "--watchpoints", "0,0;1,2;2,1", "--alpha", "0.4",

@@ -11,6 +11,7 @@ from walkvis.numtheory import (
     BExponent,
     CapacityError,
     _is_strong_lucas_prp,
+    _pm1_divisor,
     as_bexp,
     build_tables,
     euler_product_truncated,
@@ -184,6 +185,23 @@ def test_factorize_distinct_past_mr_limit_uses_bpsw():
         str([(m31, 1), (m89, 1)]),
         str([(1031, 1), (m89, 2)]),
     ]
+
+
+def test_factorize_distinct_splits_two_large_primes():
+    # rho needs about sqrt(2**61) steps here; Pollard's p - 1 stage splits
+    # them, since (2**31 - 1) - 1 and (2**61 - 1) - 1 are 4096-smooth
+    m31, m61, m89 = 2**31 - 1, 2**61 - 1, 2**89 - 1
+    out = run_with_time_limit(
+        "from walkvis.numtheory import factorize_distinct\n"
+        f"for x in ({m61} * {m89}, {m31} * {m61} * {m89}):\n"
+        "    print(list(factorize_distinct(x)))"
+    )
+    assert out.split("\n")[:2] == [
+        str([(m61, 1), (m89, 1)]),
+        str([(m31, 1), (m61, 1), (m89, 1)]),
+    ]
+    # out of reach: neither p - 1 is smooth, so the stage finds no divisor
+    assert _pm1_divisor((2**89 - 1) * (2**107 - 1)) == 1
 
 
 def test_strong_lucas_pseudoprimes_below_1e5():

@@ -186,6 +186,93 @@ def test_visible_mask_point_ranges_straddling_zero(b):
         assert visible_mask(b, xs, ys, (pt,)).tolist() == _scalar_mask(b, xs, ys, (pt,))
 
 
+def _greedy_watchpoints(b, candidates, most=8):
+    """The candidates, in order, that keep a valid watchpoint set for b."""
+    chosen = []
+    for pt in candidates:
+        try:
+            validate_watchpoint_set(b, chosen + [pt])
+        except WatchpointValidationError:
+            continue
+        chosen.append(pt)
+        if len(chosen) == most:
+            break
+    return validate_watchpoint_set(b, chosen).points if chosen else ()
+
+
+NEAR = st.integers(-40, 40)
+# far points sit about 1e9 from the positions, on one side or the other
+COORD = st.one_of(NEAR, NEAR, NEAR, NEAR.map(lambda d: d + 10**9), NEAR.map(lambda d: d - 10**9))
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    st.sampled_from([b for b in COPRIME_BS if b != (1, 1)]),
+    st.lists(st.tuples(COORD, COORD), min_size=2, max_size=24),
+    st.sampled_from([0, 7, -50, 1 << 20, 10**6 + 3]),
+    st.sampled_from([0, 3, -9, 1 << 20]),
+    st.sampled_from([12, 60, 400]),
+    st.lists(st.tuples(st.integers(0, 400), st.integers(0, 400)), min_size=1, max_size=40),
+    st.booleans(),
+)
+def test_visible_mask_watchpoint_sets_match_scalar(b, cands, bx, by, spread, deltas, two_d):
+    # 2-8 validated points around the positions' window, whose base is bx, by
+    points = _greedy_watchpoints(b, [(u + bx, v + by) for u, v in cands])
+    if len(points) < 2:
+        return
+    pairs = [(bx + dx % spread, by + dy % spread) for dx, dy in deltas]
+    # on, beside and in line with the near points; positions spanning 1e9
+    # would need tables past MAX_TABLE_ENTRIES, and no walk spans that far
+    for u, v in points:
+        if abs(u - bx) <= 100 and abs(v - by) <= 100:
+            pairs += [(u + dx, v + dy) for dx, dy in SPECIAL_DELTAS]
+    if two_d and len(pairs) % 2:
+        pairs.append(pairs[0])
+    xs = np.array([p[0] for p in pairs], dtype=np.int64)
+    ys = np.array([p[1] for p in pairs], dtype=np.int64)
+    if two_d:
+        xs, ys = xs.reshape(2, -1), ys.reshape(2, -1)
+    mask = visible_mask(b, xs, ys, points)
+    assert mask.shape == xs.shape
+    assert mask.ravel().tolist() == _scalar_mask(b, xs.ravel(), ys.ravel(), points), (b, points)
+
+
+EIGHT = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3))
+
+
+@pytest.mark.parametrize("b, points, xs, ys, packed", [
+    # Table 1's set near the origin: |P| = 15 primes (p**3 <= 2**17), 3 lanes of 17 bits
+    ((2, 3), ((0, 0), (1, 2), (2, 1)), (0, 70_000), (0, 60_000), True),
+    # the same set past the 2**20-step chunk boundary: a window base other than 0
+    ((2, 5), ((0, 0), (1, 2), (2, 1)), (524_000, 524_600), (524_300, 524_800), True),
+    # b = (1, 2) there needs the 54 primes p**2 <= 2**16: lanes of 56 bits
+    ((1, 2), ((0, 0), (1, 2), (2, 1)), (0, 70_000), (0, 60_000), False),
+    # a point far on both axes widens every displacement
+    ((2, 3), ((0, 0), (10**9, 10**9 + 1)), (0, 5000), (0, 5000), False),
+    # far on x only: p**3 <= |dy| still bounds P to the 8 primes up to 19
+    ((2, 3), ((0, 0), (10**9, 1)), (0, 5000), (0, 5000), True),
+    # lanes of 8 bits (the six primes p**3 < 2**12): eight points fill one
+    # word exactly, a ninth does not fit
+    ((2, 3), EIGHT, (0, 3000), (0, 3000), True),
+    ((2, 3), EIGHT + ((4, 4),), (0, 3000), (0, 3000), False),
+])
+def test_visible_mask_lane_selection(monkeypatch, b, points, xs, ys, packed):
+    validate_watchpoint_set(b, points)
+    state = np.random.default_rng(3)
+    dx = state.integers(xs[0], xs[1] + 1, size=3000)
+    dy = state.integers(ys[0], ys[1] + 1, size=3000)
+    dx[:2], dy[:2] = xs, ys  # the window's ends
+    real, calls = visibility._lane_table, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(visibility, "_lane_table", counted)
+    assert visible_mask(b, dx, dy, points).tolist() == _scalar_mask(b, dx, dy, points)
+    assert bool(calls) == packed
+
+
 @pytest.mark.parametrize("lo, start, cnt, points", [
     (2, 0, 3000, ((0, 0),)),
     (2, 0, 500, ((0, 0), (1, 2), (2, 1))),
