@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _keep_freed_memory() -> None:
     """On glibc, keep up to 64 MB of freed memory in the heap.  By default each
     visible_mask call hands its MBs of numpy temporaries back to the system
-    and the next call page-faults them in again: table1 ran a third slower."""
+    and the next call page-faults them in again: table1 ran a fifth slower."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):  # no C library handle, or no mallopt

@@ -265,9 +265,9 @@ def _iroot(n: int, k: int) -> int:
 def _prime_divisors(n: int) -> set[int]:
     """Distinct primes of n > 1 with no prime factor below _TRIAL_LIMIT.
 
-    An n that _is_prime calls composite is first tested for n = r**k, then
-    given to Pollard's p - 1 stage, and split by rho only when neither
-    splits it: rho needs about sqrt(p) steps for the least prime factor p.
+    An n that _is_prime calls composite is first tested for n = r**k.  Past
+    2**50 Pollard's p - 1 stage (a 5900-bit modular power) goes before rho,
+    which needs about sqrt(p) steps for the least prime factor p.
     Every prime factor exceeds 2**10, so k <= bit_length/10.  Still out of
     reach: two large primes whose p - 1 are both far from smooth, such as
     (2**89 - 1) * (2**107 - 1), on which the p - 1 stage gives 1.  At or
@@ -279,7 +279,7 @@ def _prime_divisors(n: int) -> set[int]:
         r = _iroot(n, k)
         if r**k == n:
             return _prime_divisors(r)
-    d = _pm1_divisor(n)
+    d = _pm1_divisor(n) if n >> 50 else 1
     if d in (1, n):
         d = _rho_divisor(n)
     return _prime_divisors(d) | _prime_divisors(n // d)

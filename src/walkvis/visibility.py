@@ -8,7 +8,9 @@ pairwise-visibility condition and the 2**(b1+b2) cardinality bound.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -16,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .numtheory import (
-    MAX_TABLE_ENTRIES, BExponent, CapacityError, PrimeTables, _pow_divides, as_bexp,
+    MAX_TABLE_ENTRIES, BExponent, CapacityError, PrimeTables, _iroot, _pow_divides, as_bexp,
     factorize_distinct, sieve_primes,
 )
 
@@ -134,46 +136,11 @@ def validate_watchpoint_set(b, points: Sequence) -> WatchpointSet:
     return WatchpointSet(bb, tuple(pts))
 
 
-# Bits of the tables M_e: bit 3 + k says whether the k-th prime of
-# _BIT_PRIMES (2..283) has p**e | m.  Bit 0 stands for every larger prime:
-# for e >= 2 it is set exactly when some p**e | m, while for e = 1 it is set
-# at every m >= 2 and leaves the decision to the other exponent.  Bits 1 and
-# 2 carry the axis rule crosswise (see _bit_table), and m = 0 sets every bit.
-_BIT_PRIMES = tuple(sieve_primes(283).tolist())
-_PAST = 1
-_DIVISOR_BITS = ~np.uint64(6)  # every bit but the axis bits
-
-
-# A call reads two tables per window (M_b1 for dx and M_b2 for dy); more
-# cached tables measurably raised peak RSS on the Table 1 workload.
-@lru_cache(maxsize=2)
-def _bit_table(e: int, axis: int, lo: int, hi: int) -> np.ndarray:
-    """M_e[m] for 0 <= lo <= m <= hi, at index m - lo, for the dx (axis 0)
-    or dy (axis 1) coordinate.  The dx table sets bit 1 at m = 0 and bit 2
-    at m != 1, the dy table the reverse, so the AND of a dx and a dy entry
-    has bit 1 or 2 exactly when one coordinate is 0 and the other is not 1.
-    Read-only, so threads may share it.  Raises CapacityError past
-    MAX_TABLE_ENTRIES entries, or for e >= 2 past a sieve that long.
-    """
-    # at or just past the e-th root (extra primes stride nothing); no sieve at e = 1
-    root = int(hi ** (1.0 / e)) + 1 if e > 1 else _BIT_PRIMES[-1]
-    if root + 1 > MAX_TABLE_ENTRIES or hi - lo + 1 > MAX_TABLE_ENTRIES:
-        raise CapacityError(
-            f"visibility table M_{e} on [{lo}, {hi}] needs a sieve to {root} over "
-            f"{hi - lo + 1} entries, beyond the cap of {MAX_TABLE_ENTRIES}"
-        )
-    nonunit = np.uint64(4 >> axis)
-    table = np.full(hi - lo + 1, nonunit | np.uint64(_PAST if e == 1 else 0), dtype=np.uint64)
-    primes = _BIT_PRIMES if e == 1 else sieve_primes(root).tolist()
-    for k, p in enumerate(primes):
-        q = p**e
-        table[-(-lo // q) * q - lo :: q] |= np.uint64(1 << (3 + k) if k < len(_BIT_PRIMES) else _PAST)
-    if lo <= 1 <= hi:
-        table[1 - lo] = 0
-    if lo == 0:
-        table[0] = ~np.uint64(0)
-    table.flags.writeable = False
-    return table
+# The primes up to _PRIMES[0], ascending, shared by every call.  The list
+# only grows (under _GROW), so the first |P| primes that a table was built
+# from stay the same.
+_PRIMES = (1, np.zeros(0, dtype=np.int64))
+_GROW = threading.Lock()
 
 
 def _window(lo: int, hi: int) -> tuple[int, int]:
@@ -186,57 +153,91 @@ def _window(lo: int, hi: int) -> tuple[int, int]:
     return base, 1 << (hi - base).bit_length()
 
 
-def _bits(e: int, axis: int, v: np.ndarray, vmin: int, vmax: int, shift: int) -> np.ndarray:
-    """M_e[|v - shift|] (see _bit_table) at every entry of v, whose values
-    lie in [vmin, vmax], from the window (see _window) of |v - shift|.
-    Only a range of v - shift that straddles 0 pays for an abs pass.
+def _prime_count(root: int) -> int:
+    """|P|, the number of primes up to root, the bound on the primes that
+    can hide a displacement (see _PRIMES).  Raises CapacityError when root
+    passes MAX_TABLE_ENTRIES."""
+    global _PRIMES
+    if root >= MAX_TABLE_ENTRIES:
+        raise CapacityError(
+            f"visibility tables need the primes up to {root}, beyond the cap of {MAX_TABLE_ENTRIES}"
+        )
+    with _GROW:
+        if root > _PRIMES[0]:
+            limit = max(root, min(2 * _PRIMES[0], MAX_TABLE_ENTRIES), 1 << 10)
+            _PRIMES = (limit, sieve_primes(limit))
+        primes = _PRIMES[1]
+    return int(np.searchsorted(primes, root, side="right"))
+
+
+@lru_cache(maxsize=64)
+def _layout(b: tuple, npoints: int, nprimes: int) -> tuple[int, int, int]:
+    """(W, K, large) of the lane tables at b = (b1, b2) for npoints points
+    and the nprimes primes of P.  The points go round-robin to W words, g
+    to a word.  A lane holds all of P (K = |P|, large = 0) when 2 + |P|
+    bits fit g times, else the first K = 64 // g - 3 primes and one large
+    bit for the rest of P.  W is the fewest words, from ceil(npoints / 21)
+    (lanes of 3 bits), at which P fits, or the share of positions left to
+    the recheck is at most 2**-8 by the union bound
+    npoints * sum q**-b1 * sum q**-b2 over the primes q of P past the K-th,
+    or g = 1: a recheck costs microseconds, a word a few ns per position.
+    large is the mask of the large bits of a word.
     """
-    a, c = vmin - shift, vmax - shift
-    lo, hi = (a, c) if a >= 0 else (-c, -a) if c <= 0 else (0, max(-a, c))
-    base, size = _window(lo, hi)
-    table = _bit_table(e, axis, base, base + size - 1)
-    if a >= 0:
-        return table[v - (shift + base)] if shift + base else table[v]
-    if c <= 0:
-        return table[(shift - base) - v]
-    return table[np.abs(v - shift) if shift else np.abs(v)]  # base is 0 here
-
-
-def _has_power_divisor(e: int, v: np.ndarray, vmin: int, vmax: int, shift: int) -> np.ndarray:
-    """Whether v - shift is 0 or has a prime p with p**e | v - shift, at
-    every entry of v, whose values lie in [vmin, vmax]; e >= 2, where bit 0
-    of M_e is exact."""
-    r = _bits(e, 0, v, vmin, vmax, shift)
-    r &= _DIVISOR_BITS
-    return r != 0
+    past = _PRIMES[1][:nprimes].astype(float)
+    for words in itertools.count(-(-npoints // 21)):
+        g = -(-npoints // words)
+        if g * (2 + nprimes) <= 64:
+            return words, nprimes, 0
+        k = 64 // g - 3
+        if g == 1 or npoints * (past[k:] ** -b[0]).sum() * (past[k:] ** -b[1]).sum() <= 2**-8:
+            return words, k, sum(1 << j * (3 + k) + 2 + k for j in range(g))
 
 
 # One call reads one table per coordinate; more cached tables measurably
 # raised peak RSS on the Table 1 workload.
 @lru_cache(maxsize=2)
-def _lane_table(e: int, axis: int, base: int, size: int, coords: tuple, nprimes: int) -> np.ndarray:
-    """The packed table of one coordinate for several points, at index
-    m - base for base <= m < base + size, where coords holds each point's
-    coordinate c on this axis.  Point k owns the lane of bits kL .. kL+L-1,
-    L = 2 + nprimes, and there reads the entries of M_e (see _bit_table) at
-    |m - c|, restricted to the first nprimes primes: lane bit 2 + q is set
-    when the q-th prime p has p**e | m - c, and lane bits 0 and 1 carry the
-    axis rule crosswise, as bits 1 and 2 of M_e do.  m = c sets the whole
-    lane, |m - c| = 1 none of it.  Read-only, so threads may share it.
+def _lane_table(b: tuple, axis: int, base: int, size: int, coords: tuple, nprimes: int) -> np.ndarray:
+    """The packed words of one coordinate at b = (b1, b2) for several
+    points, at index [w, m - base] for base <= m < base + size, where
+    coords holds each point's coordinate c on this axis, e = b[axis], and P
+    is the first nprimes primes.  Point k owns lane k // W of word k % W,
+    of 2 + K bits plus a large bit when there is one (see _layout): lane
+    bit 2 + q is set when the q-th prime p has p**e | m - c, and the large
+    bit when a prime of P past the K-th does.  Lane bits 0 and 1 carry the
+    axis rule crosswise: the dx table (axis 0) sets bit 1 at every m, the
+    dy table bit 0, so the AND of a dx and a dy lane has an axis bit
+    exactly when one of m - c is 0 (whose entry sets the whole lane) and
+    the other is not +-1 (whose entry clears it).  Read-only, so threads
+    may share it.
     """
-    width = 2 + nprimes
-    table = np.full(size, sum((2 >> axis) << k * width for k in range(len(coords))), dtype=np.uint64)
+    words, nbits, large = _layout(b, len(coords), nprimes)
+    e, width = b[axis], 2 + nbits + (large > 0)
+    table = np.zeros((words, size), dtype=np.uint64)
     for k, c in enumerate(coords):
-        for q, p in enumerate(_BIT_PRIMES[:nprimes]):
-            table[(c - base) % p**e :: p**e] |= np.uint64(1 << (k * width + 2 + q))
-        lane = ((1 << width) - 1) << k * width
+        row, shift = table[k % words], k // words * width
+        lane = ((1 << width) - 1) << shift
+        row |= np.uint64((2 >> axis) << shift)
+        for q, p in enumerate(_PRIMES[1][:nprimes].tolist()):
+            row[(c - base) % p**e :: p**e] |= np.uint64(1 << shift + 2 + min(q, nbits))
         for m in (c - 1, c + 1):
             if base <= m < base + size:
-                table[m - base] &= np.uint64(~lane & (2**64 - 1))
+                row[m - base] &= np.uint64(~lane & (2**64 - 1))
         if base <= c < base + size:
-            table[c - base] |= np.uint64(lane)
+            row[c - base] |= np.uint64(lane)
     table.flags.writeable = False
     return table
+
+
+def _has_power_divisor(e: int, v: np.ndarray, vmin: int, vmax: int, shift: int) -> np.ndarray:
+    """Whether v - shift is 0 or has a prime p with p**e | v - shift, at
+    every entry of v, whose values lie in [vmin, vmax]; e >= 2.  Reads a
+    one-point dx lane table (see _lane_table), whose large bit is exact
+    for e >= 2: P holds every prime p with p**e within the window."""
+    base, size = _window(vmin, vmax)
+    nprimes = _prime_count(_iroot(max(abs(base - shift), abs(base + size - 1 - shift), 1), e))
+    r = _lane_table((e, e), 0, base, size, (shift,), nprimes)[0][v - base]
+    r &= ~np.uint64(2)  # every bit but the nonunit axis bit
+    return r != 0
 
 
 def visible_mask(b, dx, dy, points=((0, 0),)) -> np.ndarray:
@@ -248,22 +249,20 @@ def visible_mask(b, dx, dy, points=((0, 0),)) -> np.ndarray:
     the all-zero displacement maps to False (a walker standing on a
     watchpoint does not count as visible).  An off-axis displacement is
     invisible exactly when some prime p has p**b1 | dx - u and
-    p**b2 | dy - v.  Each point's two entries of the cached prime bit-set
-    tables, M_b1 at |dx - u| and M_b2 at |dy - v| (see _bit_table), are
-    ANDed, and the points' results ORed into one accumulator r: r = 0 is
-    visible, r = 1 (bit 0 alone: both coordinates have a prime power past
-    283, maybe of different primes) is rechecked by factoring, and
-    anything else is hidden.  b = (1, 1) takes np.gcd instead, since every
-    prime matters there.  Raises CapacityError when a table would need a
-    sieve past MAX_TABLE_ENTRIES.
+    p**b2 | dy - v.  b = (1, 1) takes np.gcd, since every prime matters
+    there.
 
-    Two or more points whose lanes fit one uint64 skip that loop.  P holds
-    the primes with p**b1 <= max|x - u| and p**b2 <= max|y - v| over the
-    windows (see _window) of dx and dy and every point, and each point gets
-    a lane of 2 + |P| bits in one table per coordinate (see _lane_table),
-    indexed by the raw coordinate.  A hiding prime lies in P, so
-    (T_x[dx] & T_y[dy]) == 0 is exact: two gathers and one AND per
-    position, whatever the number of points.
+    Otherwise P holds the primes with p**b1 <= max|x - u| and
+    p**b2 <= max|y - v| over the windows (see _window) of dx and dy and
+    every point; a hiding prime lies in P.  Each point gets a lane in one
+    of the W words of a cached table per coordinate (see _layout and
+    _lane_table), indexed by the raw coordinate, and the mask ORs
+    T_x[w][dx] & T_y[w][dy] over the words into r: two gathers and one AND
+    per word and position.  r = 0 is visible, a bit other than a large bit
+    is hidden, and large bits alone (both coordinates have a prime of P
+    past the K-th, maybe of different primes) are rechecked by factoring.
+    Raises CapacityError when a window, or the primes of P, would pass
+    MAX_TABLE_ENTRIES.
     """
     bb = as_bexp(b)
     dx, dy = np.asarray(dx), np.asarray(dy)
@@ -274,35 +273,31 @@ def visible_mask(b, dx, dy, points=((0, 0),)) -> np.ndarray:
         for u, v in points:
             vis &= np.gcd(dx - u, dy - v) == 1
         return vis
-    xr = int(dx.min()), int(dx.max())
-    yr = int(dy.min()), int(dy.max())
-    if len(points) >= 2:
-        (bx, nx), (by, ny) = _window(*xr), _window(*yr)
-        mx = max(max(abs(bx - u), abs(bx + nx - 1 - u)) for u, _ in points)
-        my = max(max(abs(by - v), abs(by + ny - 1 - v)) for _, v in points)
-        # only these primes can hide a displacement within the windows; a
-        # count of all of _BIT_PRIMES means maybe more, and no fit anyway
-        nprimes = sum(1 for p in _BIT_PRIMES if p**bb.b1 <= mx and p**bb.b2 <= my)
-        if len(points) * (2 + nprimes) <= 64 and max(nx, ny) <= MAX_TABLE_ENTRIES:
-            tx = _lane_table(bb.b1, 0, bx, nx, tuple(u for u, _ in points), nprimes)
-            ty = _lane_table(bb.b2, 1, by, ny, tuple(v for _, v in points), nprimes)
-            r = tx[dx - bx] if bx else tx[dx]
-            r &= ty[dy - by] if by else ty[dy]
-            return r == 0
-    acc = None
-    for u, v in points:
-        r = _bits(bb.b1, 0, dx, *xr, u)
-        r &= _bits(bb.b2, 1, dy, *yr, v)
-        if acc is None:
-            acc = r
-        else:
-            acc |= r
-    vis = acc == 0
-    for k in np.flatnonzero(acc == _PAST).tolist():
-        x, y = int(dx.flat[k]), int(dy.flat[k])
-        # a point on an axis of (x, y) left r <= 1, so sees it by the axis rule
-        vis.flat[k] = not any(
-            x != u and y != v and _has_common_curve_divisor(bb, abs(x - u), abs(y - v), None)
-            for u, v in points
-        )
+    (bx, nx), (by, ny) = _window(int(dx.min()), int(dx.max())), _window(int(dy.min()), int(dy.max()))
+    if max(nx, ny) > MAX_TABLE_ENTRIES:
+        raise CapacityError(f"a visibility table of {max(nx, ny)} entries passes the cap of {MAX_TABLE_ENTRIES}")
+    mx = max(max(abs(bx - u), abs(bx + nx - 1 - u)) for u, _ in points)
+    my = max(max(abs(by - v), abs(by + ny - 1 - v)) for _, v in points)
+    nprimes = _prime_count(min(_iroot(max(mx, 1), bb.b1), _iroot(max(my, 1), bb.b2)))
+    key = (bb.b1, bb.b2)
+    tx = _lane_table(key, 0, bx, nx, tuple(u for u, _ in points), nprimes)
+    ty = _lane_table(key, 1, by, ny, tuple(v for _, v in points), nprimes)
+    ix, iy = dx - bx if bx else dx, dy - by if by else dy
+    r = tx[0][ix]
+    r &= ty[0][iy]
+    for w in range(1, len(tx)):
+        s = tx[w][ix]
+        s &= ty[w][iy]
+        r |= s
+    vis = r == 0
+    large = _layout(key, len(points), nprimes)[2]
+    if large:
+        r &= np.uint64(~large & (2**64 - 1))
+        for k in np.flatnonzero((r == 0) != vis).tolist():
+            x, y = int(dx.flat[k]), int(dy.flat[k])
+            # a point on an axis of (x, y) left an empty lane, so sees it by the axis rule
+            vis.flat[k] = not any(
+                x != u and y != v and _has_common_curve_divisor(bb, abs(x - u), abs(y - v), None)
+                for u, v in points
+            )
     return vis

@@ -111,14 +111,30 @@ def test_simulate_far_watchpoint_matches_scalar_oracle():
 
 
 def test_simulate_watchpoint_beyond_sieve_cap_exits_4(capsys):
-    # K_2 near 1e17 needs primes to ~3.2e8: refused, nothing that size allocated
+    # a point far on both axes: P would need the primes up to ~3.2e8
+    # (p**2 <= 1e17 and p <= 1e17): refused, nothing that size allocated
     code, out = run_cli(
-        "simulate", "watchpoints", "--b", "2,1", "--watchpoints", "0,0;100000000000000001,1",
+        "simulate", "watchpoints", "--b", "2,1",
+        "--watchpoints", "0,0;100000000000000001,100000000000000001",
         "--alpha", "0.5", "--steps", "1000", "--trials", "2", "--threads", "1",
     )
     assert code == 4
     assert out == ""
     assert "cap" in capsys.readouterr().err
+    # far on x only, p <= |y - 1| bounds P to the primes below 1000: answered
+    # exactly, as the scalar oracle counts it
+    wps = [(0, 0), (10**17 + 1, 1)]
+    code, out = run_cli(
+        "simulate", "watchpoints", "--b", "2,1", "--watchpoints", "0,0;100000000000000001,1",
+        "--alpha", "0.5", "--steps", "1000", "--trials", "2", "--seed", "5", "--format", "json",
+    )
+    assert code == 0
+    stream = derive_trial_seed(derive_trial_seed(5, 0, 0, 1), 0, 0, 1)
+    want = sum(
+        pos not in wps and all(is_b_visible((2, 1), pos, w) for w in wps)
+        for pos in walk_positions(0.5, stream, 1000)
+    )
+    assert json.loads(out)["rows"][0][2] == want
 
 
 def test_simulate_watchpoint_past_int64_exits_2(capsys):
@@ -392,6 +408,11 @@ GOLDEN_CSV = [
     (("simulate", "watchpoints", "--b", "2,5", "--watchpoints", "0,0;1,2;2,1", "--alpha", "0.5",
       "--steps", "1049000", "--trials", "1", "--seed", "19"),
      "95c860009a248f9077919a27fcc3ac883b140fcd42440a8c9407559e9e13495a"),
+    # 24 watchpoints: lanes in two words, with large bits and their recheck
+    (("simulate", "watchpoints", "--b", "3,5", "--watchpoints",
+      "0,0;0,1;1,0;1,1;-1,-1;-1,-2;-2,-1;2,2;-2,-2;2,3;3,2;3,3;-3,-3;-3,-4;-4,-3;4,4;-4,-4;4,5;5,4;5,5;"
+      "-5,-5;-5,-6;-6,-5;6,6", "--alpha", "0.5", "--steps", "200000", "--trials", "1", "--seed", "23"),
+     "9bc3bcb348db319deeca524fe6cbb612aa15e686e5591d9c8f9abf1ba5534df9"),
 ]
 GOLDEN_EXACT_CSV = [
     (("exact", "watchpoints", "--b", "1,2", "--watchpoints", "0,0;1,2;2,1", "--alpha", "0.4",

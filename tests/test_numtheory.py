@@ -204,6 +204,21 @@ def test_factorize_distinct_splits_two_large_primes():
     assert _pm1_divisor((2**89 - 1) * (2**107 - 1)) == 1
 
 
+def test_small_cofactors_skip_the_p_minus_1_stage(monkeypatch):
+    # below 2**50 rho splits a cofactor in microseconds, the stage's
+    # 5900-bit modular power takes about half a millisecond
+    import walkvis.numtheory as nt
+
+    calls = []
+    real = nt._pm1_divisor
+    monkeypatch.setattr(nt, "_pm1_divisor", lambda n: calls.append(n) or real(n))
+    assert list(factorize_distinct(1031 * 1033)) == [(1031, 1), (1033, 1)]
+    assert calls == []
+    m31, m61 = 2**31 - 1, 2**61 - 1
+    assert list(factorize_distinct(m31 * m61)) == [(m31, 1), (m61, 1)]
+    assert calls == [m31 * m61]
+
+
 def test_strong_lucas_pseudoprimes_below_1e5():
     # the composites below 1e5 that pass the strong Lucas test with
     # Selfridge's parameters (OEIS A217255); every prime passes

@@ -145,8 +145,9 @@ def _scalar_mask(b, xs, ys, points):
 
 
 def test_visible_mask_rechecks_primes_past_the_bits(monkeypatch):
-    # 293 is the first prime without a bit of its own: these displacements
-    # reach bit 0 of both tables, which only the scalar recheck decides
+    # 293 lies in P here but past the K-th prime of P (K = 61 for one point,
+    # less for three), so these displacements reach the large bit of both
+    # tables, which only the scalar recheck decides
     p, q = 293, 307
     k = np.arange(1, 9, dtype=np.int64)  # narrow value ranges keep the tables small
     cases = [
@@ -186,16 +187,13 @@ def test_visible_mask_point_ranges_straddling_zero(b):
         assert visible_mask(b, xs, ys, (pt,)).tolist() == _scalar_mask(b, xs, ys, (pt,))
 
 
-def _greedy_watchpoints(b, candidates, most=8):
+def _greedy_watchpoints(b, candidates, most=40):
     """The candidates, in order, that keep a valid watchpoint set for b."""
     chosen = []
     for pt in candidates:
-        try:
-            validate_watchpoint_set(b, chosen + [pt])
-        except WatchpointValidationError:
-            continue
-        chosen.append(pt)
-        if len(chosen) == most:
+        if pt not in chosen and all(is_b_visible(b, pt, q) for q in chosen):
+            chosen.append(pt)
+        if len(chosen) == min(most, 2 ** sum(b)):
             break
     return validate_watchpoint_set(b, chosen).points if chosen else ()
 
@@ -208,7 +206,10 @@ COORD = st.one_of(NEAR, NEAR, NEAR, NEAR.map(lambda d: d + 10**9), NEAR.map(lamb
 @settings(max_examples=250, deadline=None)
 @given(
     st.sampled_from([b for b in COPRIME_BS if b != (1, 1)]),
-    st.lists(st.tuples(COORD, COORD), min_size=2, max_size=24),
+    st.one_of(  # long lists give sets past 21 points at b1 + b2 >= 5
+        st.lists(st.tuples(COORD, COORD), min_size=2, max_size=24),
+        st.lists(st.tuples(COORD, COORD), min_size=40, max_size=60),
+    ),
     st.sampled_from([0, 7, -50, 1 << 20, 10**6 + 3]),
     st.sampled_from([0, 3, -9, 1 << 20]),
     st.sampled_from([12, 60, 400]),
@@ -216,7 +217,8 @@ COORD = st.one_of(NEAR, NEAR, NEAR, NEAR.map(lambda d: d + 10**9), NEAR.map(lamb
     st.booleans(),
 )
 def test_visible_mask_watchpoint_sets_match_scalar(b, cands, bx, by, spread, deltas, two_d):
-    # 2-8 validated points around the positions' window, whose base is bx, by
+    # 2-40 validated points around the positions' window, whose base is bx,
+    # by; past 21 points no one word holds every lane
     points = _greedy_watchpoints(b, [(u + bx, v + by) for u, v in cands])
     if len(points) < 2:
         return
@@ -238,25 +240,61 @@ def test_visible_mask_watchpoint_sets_match_scalar(b, cands, bx, by, spread, del
 
 
 EIGHT = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3))
+# a valid set at b = (3, 5), greedy along the diagonals near the origin
+FORTY = (
+    (0, 0), (0, 1), (1, 0), (1, 1), (-1, -1), (-1, -2), (-2, -1), (2, 2), (-2, -2), (2, 3),
+    (3, 2), (3, 3), (-3, -3), (-3, -4), (-4, -3), (4, 4), (-4, -4), (4, 5), (5, 4), (5, 5),
+    (-5, -5), (-5, -6), (-6, -5), (6, 6), (-6, -6), (6, 7), (7, 6), (7, 7), (-7, -7), (-7, -8),
+    (-8, -7), (8, 8), (-8, -8), (8, 9), (9, 8), (9, 9), (-9, -9), (-9, -10), (-10, -9), (10, 10),
+)
+
+# 64 points, greedy over the diagonals s = |x| + |y| = 0, 1, ...
+SIXTY_FOUR = _greedy_watchpoints(
+    (3, 5), [(sx * x, sy * (d - x)) for d in range(40) for x in range(d + 1) for sx in (1, -1) for sy in (1, -1)],
+    most=64,
+)
 
 
-@pytest.mark.parametrize("b, points, xs, ys, packed", [
-    # Table 1's set near the origin: |P| = 15 primes (p**3 <= 2**17), 3 lanes of 17 bits
-    ((2, 3), ((0, 0), (1, 2), (2, 1)), (0, 70_000), (0, 60_000), True),
+# layout is (W words, K prime bits per lane, whether lanes carry a large bit);
+# see visibility._layout
+@pytest.mark.parametrize("b, points, xs, ys, layout", [
+    # Table 1's set near the origin: |P| = 12 primes (p**3 <= 2**16 - 1), 3 lanes of 14 bits
+    ((2, 3), ((0, 0), (1, 2), (2, 1)), (0, 70_000), (0, 60_000), (1, 12, False)),
     # the same set past the 2**20-step chunk boundary: a window base other than 0
-    ((2, 5), ((0, 0), (1, 2), (2, 1)), (524_000, 524_600), (524_300, 524_800), True),
-    # b = (1, 2) there needs the 54 primes p**2 <= 2**16: lanes of 56 bits
-    ((1, 2), ((0, 0), (1, 2), (2, 1)), (0, 70_000), (0, 60_000), False),
-    # a point far on both axes widens every displacement
-    ((2, 3), ((0, 0), (10**9, 10**9 + 1)), (0, 5000), (0, 5000), False),
+    ((2, 5), ((0, 0), (1, 2), (2, 1)), (524_000, 524_600), (524_300, 524_800), (1, 6, False)),
+    # b = (1, 2) there has the 54 primes p**2 <= 2**16 - 1: 3 * (2 + 54) > 64, so
+    # lanes of 64 // 3 = 21 bits, K = 21 - 3 = 18 (primes to 61) and a large bit
+    # for 67..251, whose recheck share bound 3 * sum 1/q * sum 1/q**2 is below 2**-8
+    ((1, 2), ((0, 0), (1, 2), (2, 1)), (0, 70_000), (0, 60_000), (1, 18, True)),
+    # a point far on both axes widens every displacement: the 168 primes
+    # p**3 <= 1e9, lanes of 64 // 2 = 32 bits, K = 29
+    ((2, 3), ((0, 0), (10**9, 10**9 + 1)), (0, 5000), (0, 5000), (1, 29, True)),
     # far on x only: p**3 <= |dy| still bounds P to the 8 primes up to 19
-    ((2, 3), ((0, 0), (10**9, 1)), (0, 5000), (0, 5000), True),
+    ((2, 3), ((0, 0), (10**9, 1)), (0, 5000), (0, 5000), (1, 8, False)),
     # lanes of 8 bits (the six primes p**3 < 2**12): eight points fill one
-    # word exactly, a ninth does not fit
-    ((2, 3), EIGHT, (0, 3000), (0, 3000), True),
-    ((2, 3), EIGHT + ((4, 4),), (0, 3000), (0, 3000), False),
+    # word exactly; with a ninth, lanes of 64 // 9 = 7 bits, K = 4 and a large
+    # bit for 11 and 13
+    ((2, 3), EIGHT, (0, 3000), (0, 3000), (1, 6, False)),
+    ((2, 3), EIGHT + ((4, 4),), (0, 3000), (0, 3000), (1, 4, True)),
+    # 24 points and P = {2, 3, 5} (p**5 < 2**12): lanes of 5 bits, 12 to a word
+    ((3, 5), FORTY[:24], (0, 3000), (0, 3000), (2, 3, False)),
+    # with 7 in P as well (p**5 < 2**17), 12 lanes of 64 // 12 = 5 bits: K = 2
+    # and a large bit for 5 and 7
+    ((3, 5), FORTY[:24], (0, 100_000), (-50_000, 50_000), (2, 2, True)),
+    # 40 points: two words would leave K = 0, with most positions to
+    # recheck, three K = 1 (share bound 40 * 0.0107 * 0.00035 > 2**-8); four
+    # hold all of P = {2, 3, 5}, 10 lanes of 5 bits each
+    ((3, 5), FORTY, (0, 3000), (0, 3000), (4, 3, False)),
+    # 64 points start from ceil(64 / 21) = 4 words, lanes of at least 3 bits;
+    # 4 and 5 words leave K = 1, and six hold all of P in 11 lanes of 5 bits
+    ((3, 5), SIXTY_FOUR, (0, 3000), (0, 3000), (6, 3, False)),
+], ids=[  # the first seven keep the ids they had when the last value said whether lanes were used
+    "b0-points0-xs0-ys0-True", "b1-points1-xs1-ys1-True", "b2-points2-xs2-ys2-False",
+    "b3-points3-xs3-ys3-False", "b4-points4-xs4-ys4-True", "b5-points5-xs5-ys5-True",
+    "b6-points6-xs6-ys6-False", "b3-5-24-points", "b3-5-24-points-wide", "b3-5-40-points",
+    "b3-5-64-points",
 ])
-def test_visible_mask_lane_selection(monkeypatch, b, points, xs, ys, packed):
+def test_visible_mask_lane_selection(monkeypatch, b, points, xs, ys, layout):
     validate_watchpoint_set(b, points)
     state = np.random.default_rng(3)
     dx = state.integers(xs[0], xs[1] + 1, size=3000)
@@ -270,7 +308,10 @@ def test_visible_mask_lane_selection(monkeypatch, b, points, xs, ys, packed):
 
     monkeypatch.setattr(visibility, "_lane_table", counted)
     assert visible_mask(b, dx, dy, points).tolist() == _scalar_mask(b, dx, dy, points)
-    assert bool(calls) == packed
+    key, _, _, _, coords, nprimes = calls[0]
+    words, k, large = visibility._layout(key, len(coords), nprimes)
+    assert (words, k, large != 0) == layout
+    assert [real(*args).shape[0] for args in calls] == [words, words]
 
 
 @pytest.mark.parametrize("lo, start, cnt, points", [
@@ -291,10 +332,14 @@ def test_candidates_match_factorization(lo, start, cnt, points):
 
 
 def test_visible_mask_far_window_beyond_cap_raises():
-    # M_2 on a window near 1e17 would need a sieve to ~3.2e8 > MAX_TABLE_ENTRIES
+    # far on both axes: P would need the primes up to ~3.2e8 (p**2 <= 1e17
+    # and p <= 1e17), past MAX_TABLE_ENTRIES
     dx = np.array([10**17, 10**17 + 1], dtype=np.int64)
     with pytest.raises(CapacityError):
-        visible_mask((2, 1), dx, np.array([1, 2], dtype=np.int64))
+        visible_mask((2, 1), dx, dx + 1)
+    # far on x only, p <= |dy| <= 2 bounds P to {2}: answered exactly
+    dy = np.array([1, 2], dtype=np.int64)
+    assert visible_mask((2, 1), dx, dy).tolist() == _scalar_mask((2, 1), dx, dy, ((0, 0),))
 
 
 def test_visible_mask_threads_share_kernel_tables():
