@@ -42,7 +42,6 @@ _CHUNK = 1 << 20
 # path builds (windows up to twice the largest value) below 2**53, whose
 # square root stays inside MAX_TABLE_ENTRIES.
 _ALIVE_REACH = 1 << 52
-_BYTE_ONES = np.uint64(0x0101010101010101)
 _BATCH_STEP_LIMIT = 64
 _ORIGIN = ((0, 0),)
 # The process's one trial pool as (threads, executor), so that repeated
@@ -120,21 +119,23 @@ def _check_steps(points, n: int) -> None:
         )
 
 
-def _moves(seed_col, incs, threshold, z, w, right) -> np.ndarray:
+def _moves(seed_col, incs, limit: int, z, w, right) -> np.ndarray:
     """The right moves (a bool per step) of the streams seeded by the uint64
     column seed_col over one step chunk, a row per seed, written into right.
-    z and w are uint64 scratch of right's shape."""
+    A draw w moves right exactly when w < limit = right_threshold(alpha) << 11
+    (as the threshold is below 2**53).  When limit's low 33 bits are 0, the
+    mixer's last xorshift, which keeps bits 63..33, cannot change that test
+    and is skipped.  z and w are uint64 scratch of right's shape."""
     np.add(seed_col, incs, out=z)
-    mix_u64(z, out=w)
-    # (w >> 11) < threshold exactly when w < threshold << 11, as threshold < 2**53
-    return np.less(w, threshold << np.uint64(11), out=right)
+    mix_u64(z, out=w, last=limit % 2**33 != 0)
+    return np.less(w, np.uint64(limit), out=right)
 
 
-def _positions(seed_col, incs, threshold, x_prev, z, w, right) -> np.ndarray:
+def _positions(seed_col, incs, limit, x_prev, z, w, right) -> np.ndarray:
     """x over one step chunk (see _moves), each row continuing from x_prev
     (advanced in place), as an int64 view of z; w is free again on return."""
     x = z.view(np.int64)
-    np.cumsum(_moves(seed_col, incs, threshold, z, w, right), axis=1, dtype=np.int64, out=x)
+    np.cumsum(_moves(seed_col, incs, limit, z, w, right), axis=1, dtype=np.int64, out=x)
     x += x_prev[:, None]
     x_prev[:] = x[:, -1]
     return x
@@ -169,17 +170,21 @@ def _candidates(lo: int, start: int, cnt: int, points) -> np.ndarray:
 
 def _counts(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Running counts of the True entries of a bool array whose length is a
-    multiple of 8: byte t of p[w] counts them in flags[8w : 8w + t + 1] (the
-    bytes of a word, 0 or 1 each, times 0x0101010101010101), and c[w] in
-    flags[: 8w + 8].  Cheaper than a cumsum, which also holds the GIL."""
-    p = (flags.view(np.uint64) * _BYTE_ONES).view(np.int64)
-    return p, np.cumsum(p >> 56)
+    multiple of 64: bit t of p[w] is flags[64w + t], and c[w] counts them in
+    flags[: 64w], for w up to p.size.  Cheaper than a cumsum over the flags,
+    which also holds the GIL."""
+    p = np.packbits(flags, bitorder="little").view("<u8")
+    c = np.zeros(p.size + 1, dtype=np.int64)
+    np.cumsum(np.bitwise_count(p), out=c[1:])
+    return p, c
 
 
 def _count_through(p: np.ndarray, c: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The number of True entries in flags[: k + 1], at each index k."""
-    w = p[k >> 3]
-    return c[k >> 3] - (w >> 56) + ((w >> ((k & 7) << 3)) & 0xFF)
+    """The number of True entries in flags[: k + 1], at each index k: the
+    count before k's word, plus the bits of the word through k, shifted to
+    the top."""
+    w = k >> 6
+    return c.take(w) + np.bitwise_count(p.take(w) << (~k & 63).view(np.uint64))
 
 
 def _first_reaching(p: np.ndarray, c: np.ndarray, level: int, true: bool) -> int:
@@ -189,36 +194,38 @@ def _first_reaching(p: np.ndarray, c: np.ndarray, level: int, true: bool) -> int
     if level <= 0:
         return 0
 
-    def through(w: int) -> int:  # entries of the kind in words 0..w
-        return int(c[w]) if true else 8 * w + 8 - int(c[w])
+    def before(w: int) -> int:  # entries of the kind in words 0 .. w - 1
+        return int(c[w]) if true else 64 * w - int(c[w])
 
-    w = bisect.bisect_left(range(c.size), level, key=through)
-    if w == c.size:
-        return 8 * w
-    word = int(p[w])
-    before = through(w) - (word >> 56 if true else 8 - (word >> 56))
-    for t in range(7):  # through(w) reaches the level, so by byte 7 at the latest
-        ones = (word >> 8 * t) & 0xFF
-        if before + (ones if true else t + 1 - ones) >= level:
-            return 8 * w + t
-    return 8 * w + 7
+    m = 1  # gallop to the first word past the level, as axis runs mostly start early
+    while m <= p.size and before(m) < level:
+        m *= 2
+    w = bisect.bisect_left(range(m // 2 + 1, min(m, p.size) + 1), level, key=before) + m // 2
+    if w == p.size:
+        return 64 * w
+    word = int(p[w]) if true else ~int(p[w]) & MASK64
+    for _ in range(level - before(w) - 1):  # clear the word's lower entries of the kind
+        word &= word - 1
+    return 64 * w + (word & -word).bit_length() - 1
 
 
-def _axis_steps(p, c, cnt: int, x0: int, start: int, points, cand) -> np.ndarray:
-    """Offsets into the chunk of the steps off cand at which the walk meets
-    a point's axis (x == u or y == v).  p and c count its right moves over
-    the chunk (see _counts), which follows step start at x = x0.  The walk
-    is at x == u while its count of right moves reaches u - x0 and not yet
-    one more, and at y == v likewise with the up moves."""
+def _axis_runs(p, c, cnt: int, x0: int, start: int, points, ok) -> list[np.ndarray]:
+    """Offsets into the chunk of the steps in ok at which the walk meets a
+    point's axis (x == u or y == v), an array per axis met.  p and c count
+    its right moves over the chunk (see _counts), which follows step start
+    at x = x0.  The walk is at x == u while its count of right moves
+    reaches u - x0 and not yet one more, and at y == v likewise with the up
+    moves."""
     rights = int(c[-1])
-    runs = [np.zeros(0, dtype=np.int64)]
+    runs = []
     for u, v in points:
         for true, level, count in ((True, u - x0, rights), (False, v - start + x0, cnt - rights)):
             if 0 <= level <= count:
-                end = min(_first_reaching(p, c, level + 1, true), cnt)
-                runs.append(np.arange(_first_reaching(p, c, level, true), end))
-    steps = np.concatenate(runs)
-    return steps[~cand[steps]]
+                lo = _first_reaching(p, c, level, true)
+                hi = min(_first_reaching(p, c, level + 1, true), cnt)
+                if lo < hi:
+                    runs.append(lo + np.flatnonzero(ok[lo:hi]))
+    return runs
 
 
 def _visible_counts(b, trial_seeds: np.ndarray, alphas, points, n: int) -> np.ndarray:
@@ -233,31 +240,32 @@ def _visible_counts(b, trial_seeds: np.ndarray, alphas, points, n: int) -> np.nd
 
     With several streams, lo = min(b) >= 2 and a block of one trial, stream
     0 is masked at every step and each later stream only at the steps it
-    could still hide: the alive candidate steps (see _candidates) and its
-    own axis runs off them (see _axis_steps).  The alive set shrinks as the
-    streams hide steps.  Blocks of several trials (the batched small-n
+    could still hide: the alive candidate steps (see _candidates) and the
+    steps of its own axis runs not yet hidden (see _axis_runs).  A step
+    that comes twice gets the same mask value twice.  The alive set shrinks
+    as the streams hide steps.  Blocks of several trials (the batched small-n
     path), which measured no faster that way, keep the full-length mask, and
     so do points farther than _ALIVE_REACH.  Raises ValueError when a
     displacement could leave int64.
     """
     _check_steps(points, n)
     points = tuple((int(u), int(v)) for u, v in points)  # hashable, for _candidates
-    thresholds = [right_threshold(a) for a in alphas]
+    limits = [int(right_threshold(a)) << 11 for a in alphas]
     lo = as_bexp(b).lo
     prune = (
-        len(thresholds) > 1
+        len(limits) > 1
         and lo >= 2
         and max(abs(u) + abs(v) for u, v in points) + n < _ALIVE_REACH
     )
     counts = np.zeros(len(trial_seeds), dtype=np.int64)
-    block = max(1, _CHUNK // max(n, len(thresholds)))  # bounds the seed and carry matrices too
+    block = max(1, _CHUNK // max(n, len(limits)))  # bounds the seed and carry matrices too
     for t0 in range(0, len(trial_seeds), block):
-        seeds = splitmix64_block(trial_seeds[t0 : t0 + block, None], 0, len(thresholds))
+        seeds = splitmix64_block(trial_seeds[t0 : t0 + block, None], 0, len(limits))
         tb = len(seeds)
         alive_path = prune and tb == 1
         x_prev = np.zeros(seeds.shape, dtype=np.int64)
         bufs = np.empty((2, tb * min(n, _CHUNK)), dtype=np.uint64)
-        flags = np.zeros((bufs.shape[1] // 8 + 1) * 8, dtype=bool)  # a False word past the end
+        flags = np.zeros((bufs.shape[1] // 64 + 1) * 64, dtype=bool)  # a False word past the end
         for start in range(0, n, _CHUNK):
             cnt = min(_CHUNK, n - start)
             i, incs = _chunk_steps(start, cnt)
@@ -265,25 +273,27 @@ def _visible_counts(b, trial_seeds: np.ndarray, alphas, points, n: int) -> np.nd
             r = flags[: tb * cnt].reshape(tb, cnt)
             y = w.view(np.int64)
             ok = np.ones(tb * cnt, dtype=bool)
-            for j in range(1 if alive_path else len(thresholds)):
-                x = _positions(seeds[:, j, None], incs, thresholds[j], x_prev[:, j], z, w, r)
+            for j in range(1 if alive_path else len(limits)):
+                x = _positions(seeds[:, j, None], incs, limits[j], x_prev[:, j], z, w, r)
                 np.subtract(i, x, out=y)
                 ok &= visible_mask(b, x.ravel(), y.ravel(), points)
             if alive_path:
                 cand = _candidates(lo, start, cnt, points)
                 alive = np.flatnonzero(ok & cand)
-                padded = flags[: (cnt // 8 + 1) * 8]
+                padded = flags[: (cnt // 64 + 1) * 64]
                 padded[cnt:] = False
-                for j in range(1, len(thresholds)):
-                    _moves(seeds[:, j, None], incs, thresholds[j], z, w, r)
+                for j in range(1, len(limits)):
+                    _moves(seeds[:, j, None], incs, limits[j], z, w, r)
                     p, c = _counts(padded)
-                    x0 = int(x_prev[0, j])
-                    x_prev[0, j] = x0 + int(c[-1])
-                    idx = np.concatenate((alive, _axis_steps(p, c, cnt, x0, start, points, cand)))
+                    x0, rights = int(x_prev[0, j]), int(c[-1])
+                    x_prev[0, j] = x0 + rights
+                    idx = np.concatenate((alive, *_axis_runs(p, c, cnt, x0, start, points, ok)))
                     xs = x0 + _count_through(p, c, idx)
                     ys = idx + (start + 1) - xs
-                    vis = visible_mask(b, xs, ys, points)
-                    ok[idx[~vis]] = False
+                    # the walker's positions over the chunk lie within these
+                    box = ((x0, x0 + rights), (start - x0, start + cnt - x0 - rights))
+                    vis = visible_mask(b, xs, ys, points, bounds=box)
+                    ok[idx] = vis  # ok held at every step of idx
                     alive = alive[vis[: alive.size]]
             counts[t0 : t0 + tb] += np.count_nonzero(ok.reshape(tb, cnt), axis=1)
     return counts

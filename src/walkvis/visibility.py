@@ -240,7 +240,7 @@ def _has_power_divisor(e: int, v: np.ndarray, vmin: int, vmax: int, shift: int) 
     return r != 0
 
 
-def visible_mask(b, dx, dy, points=((0, 0),)) -> np.ndarray:
+def visible_mask(b, dx, dy, points=((0, 0),), bounds=None) -> np.ndarray:
     """Vectorized is_b_visible over same-shape arrays of positions: whether
     (dx, dy) is b-visible from every point (u, v), that is, whether each
     displacement (dx - u, dy - v) is.
@@ -261,6 +261,9 @@ def visible_mask(b, dx, dy, points=((0, 0),)) -> np.ndarray:
     per word and position.  r = 0 is visible, a bit other than a large bit
     is hidden, and large bits alone (both coordinates have a prime of P
     past the K-th, maybe of different primes) are rechecked by factoring.
+    bounds, ((xlo, xhi), (ylo, yhi)) with every dx in [xlo, xhi] and every
+    dy in [ylo, yhi], takes the windows from those bounds instead of from
+    the extremes of dx and dy; any bounds that hold give the same mask.
     Raises CapacityError when a window, or the primes of P, would pass
     MAX_TABLE_ENTRIES.
     """
@@ -273,7 +276,9 @@ def visible_mask(b, dx, dy, points=((0, 0),)) -> np.ndarray:
         for u, v in points:
             vis &= np.gcd(dx - u, dy - v) == 1
         return vis
-    (bx, nx), (by, ny) = _window(int(dx.min()), int(dx.max())), _window(int(dy.min()), int(dy.max()))
+    if bounds is None:
+        bounds = (int(dx.min()), int(dx.max())), (int(dy.min()), int(dy.max()))
+    (bx, nx), (by, ny) = _window(*bounds[0]), _window(*bounds[1])
     if max(nx, ny) > MAX_TABLE_ENTRIES:
         raise CapacityError(f"a visibility table of {max(nx, ny)} entries passes the cap of {MAX_TABLE_ENTRIES}")
     mx = max(max(abs(bx - u), abs(bx + nx - 1 - u)) for u, _ in points)
@@ -283,11 +288,11 @@ def visible_mask(b, dx, dy, points=((0, 0),)) -> np.ndarray:
     tx = _lane_table(key, 0, bx, nx, tuple(u for u, _ in points), nprimes)
     ty = _lane_table(key, 1, by, ny, tuple(v for _, v in points), nprimes)
     ix, iy = dx - bx if bx else dx, dy - by if by else dy
-    r = tx[0][ix]
-    r &= ty[0][iy]
+    r = tx[0].take(ix)  # take is cheaper than fancy indexing
+    r &= ty[0].take(iy)
     for w in range(1, len(tx)):
-        s = tx[w][ix]
-        s &= ty[w][iy]
+        s = tx[w].take(ix)
+        s &= ty[w].take(iy)
         r |= s
     vis = r == 0
     large = _layout(key, len(points), nprimes)[2]

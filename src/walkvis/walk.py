@@ -94,12 +94,14 @@ def walk_positions(cfg, seed: int, n: int) -> Iterator[LatticePoint]:
         yield LatticePoint(x, y)
 
 
-def mix_u64(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mix_u64(z: np.ndarray, out: np.ndarray | None = None, *, last: bool = True) -> np.ndarray:
     """SplitMix64 output finalizer on a uint64 array of any shape.
 
     With ``out``, a uint64 array of z's shape that does not overlap it, the
     result goes there and z serves as scratch: both are overwritten and
-    nothing is allocated.  Without it, z is left as it was.
+    nothing is allocated.  Without it, z is left as it was.  With
+    last=False the final ``out ^= out >> 31`` is skipped; it leaves bits
+    63..33 as they are, so a caller that reads only those may drop it.
     """
     if out is None:
         z = np.array(z, dtype=np.uint64)
@@ -111,8 +113,9 @@ def mix_u64(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         np.right_shift(out, np.uint64(27), out=z)
         out ^= z
         out *= np.uint64(_MIX2)
-        np.right_shift(out, np.uint64(31), out=z)
-        out ^= z
+        if last:
+            np.right_shift(out, np.uint64(31), out=z)
+            out ^= z
     return out
 
 

@@ -413,6 +413,11 @@ GOLDEN_CSV = [
       "0,0;0,1;1,0;1,1;-1,-1;-1,-2;-2,-1;2,2;-2,-2;2,3;3,2;3,3;-3,-3;-3,-4;-4,-3;4,4;-4,-4;4,5;5,4;5,5;"
       "-5,-5;-5,-6;-6,-5;6,6", "--alpha", "0.5", "--steps", "200000", "--trials", "1", "--seed", "23"),
      "9bc3bcb348db319deeca524fe6cbb612aa15e686e5591d9c8f9abf1ba5534df9"),
+    # later walkers at two alphas on the 2**-31 grid, which skip the mixer's
+    # last xorshift, and one off it, which does not
+    (("simulate", "walkers", "--b", "2,3", "--alphas", "0.25,0.375,0.3", "--steps", "3000",
+      "--trials", "3", "--seed", "31"),
+     "e8439d0d1cbcdd58321828f62bb7952fae2beff12a315907c91b7e1ae52d3059"),
 ]
 GOLDEN_EXACT_CSV = [
     (("exact", "watchpoints", "--b", "1,2", "--watchpoints", "0,0;1,2;2,1", "--alpha", "0.4",

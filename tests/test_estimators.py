@@ -14,6 +14,9 @@ from walkvis.estimators import (
     SimulationSpec,
     WalkersMode,
     WatchpointsMode,
+    _count_through,
+    _counts,
+    _first_reaching,
     _run_trial,
     _visible_counts,
     aggregate_trials,
@@ -327,3 +330,24 @@ def test_visible_counts_across_chunks(monkeypatch):
         for seed in range(6):
             got = _visible_counts(b, np.array([seed], dtype=np.uint64), (0.5, 0.6, 0.4), points, 150)
             assert got.tolist() == scalar_counts(b, [seed], (0.5, 0.6, 0.4), points, 150), (b, seed)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 200, 1000])
+@pytest.mark.parametrize("share", [0.0, 0.5, 0.97])
+def test_count_helpers_match_cumsum(n, share):
+    # flags padded with False to a whole number of 64-step words, past the
+    # last step, as the engine pads a chunk
+    state = np.random.default_rng(n)
+    flags = np.zeros((n // 64 + 1) * 64, dtype=bool)
+    flags[:n] = state.random(n) < share
+    p, c = _counts(flags)
+    ones = np.cumsum(flags)
+    k = np.arange(flags.size)
+    assert _count_through(p, c, k).tolist() == ones.tolist()
+    picks = np.array([63, flags.size - 1, flags.size - 64, n - 1], dtype=np.int64)  # k & 63 == 63, last word
+    assert _count_through(p, c, picks).tolist() == ones[picks].tolist()
+    for true, through in ((True, ones), (False, np.cumsum(~flags))):
+        total = int(through[-1])
+        for level in sorted({-1, 0, 1, 2, 63, 64, 65, total // 2, total, total + 1, total + 100}):
+            want = int(np.searchsorted(through, level)) if level > 0 else 0  # padded length past the count
+            assert _first_reaching(p, c, level, true) == want, (true, level)

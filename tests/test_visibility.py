@@ -187,6 +187,19 @@ def test_visible_mask_point_ranges_straddling_zero(b):
         assert visible_mask(b, xs, ys, (pt,)).tolist() == _scalar_mask(b, xs, ys, (pt,))
 
 
+@pytest.mark.parametrize("b", [(1, 2), (2, 3), (3, 2), (5, 4)])
+def test_visible_mask_bounds_give_the_same_mask(b):
+    # bounds wider than the values move the windows, not the mask
+    state = np.random.default_rng(8)
+    xs = state.integers(10, 60, size=400)
+    ys = state.integers(-30, 30, size=400)
+    points = ((0, 0), (35, 0), (-5, 41))
+    want = _scalar_mask(b, xs, ys, points)
+    for bounds in (((10, 59), (-30, 29)), ((0, 1000), (-300, 29)), ((-70, 64), (-33, 70))):
+        assert all(lo <= v.min() and v.max() <= hi for (lo, hi), v in zip(bounds, (xs, ys)))
+        assert visible_mask(b, xs, ys, points, bounds=bounds).tolist() == want, bounds
+
+
 def _greedy_watchpoints(b, candidates, most=40):
     """The candidates, in order, that keep a valid watchpoint set for b."""
     chosen = []

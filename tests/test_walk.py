@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walkvis.estimators import _moves
 from walkvis.walk import (
     GOLDEN_GAMMA,
     MASK64,
@@ -14,6 +15,7 @@ from walkvis.walk import (
     right_threshold,
     splitmix64_block,
     splitmix64_next,
+    stream_increments,
     uniform_block,
     walk_positions,
 )
@@ -157,3 +159,64 @@ def test_right_threshold_is_the_uniform_test():
             assert (k < t) == (k * 2.0**-53 < alpha), (alpha, k)
         z = splitmix64_block(99, 0, 4096) >> np.uint64(11)
         assert np.array_equal(z < right_threshold(alpha), uniform_block(99, 0, 4096) < alpha)
+
+
+# alphas on the 2**-31 grid, whose move test skips the mixer's last xorshift,
+# and one off it
+SHORTCUT_ALPHAS = [0.5, 0.25, 0.375, 0.75, 2.0**-31, 1 - 2.0**-31, 0.3]
+
+
+@pytest.mark.parametrize("alpha", SHORTCUT_ALPHAS[:-1])
+def test_last_xorshift_keeps_the_move_test(alpha):
+    # t = threshold << 11 has its low 33 bits 0, and out ^ (out >> 31) keeps
+    # bits 63..33 of out, so it falls below t exactly when out does
+    t = int(right_threshold(alpha)) << 11
+    assert t % 2**33 == 0 and 0 < t < 2**64
+    high = t >> 33 << 33
+    near = [t - 1, t, t + 2**33 - 1, t + 2**33, high + 1, high + 2**32, high + 2**33 - 2, t - 2**33, 0, MASK64]
+    out = np.array([v % 2**64 for v in near], dtype=np.uint64)
+    mixed = out ^ (out >> np.uint64(31))
+    assert np.array_equal(mixed < np.uint64(t), out < np.uint64(t))
+
+
+def test_mix_u64_without_the_last_step():
+    z = np.arange(1, 5000, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+    part = mix_u64(z, last=False)
+    assert np.array_equal(part ^ (part >> np.uint64(31)), mix_u64(z))
+
+
+def _unxorshift(y, s):
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def _state_before_last_step(out):
+    """The SplitMix64 state whose output, before the last xorshift, is out."""
+    x = _unxorshift(out * pow(0x94D049BB133111EB, -1, 2**64) % 2**64, 27)
+    return _unxorshift(x * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64, 30)
+
+
+@pytest.mark.parametrize("alpha", SHORTCUT_ALPHAS)
+def test_moves_match_the_uniform_test(alpha):
+    # states whose output before the last xorshift lies next to t, and a
+    # random stretch of three streams
+    t = int(right_threshold(alpha)) << 11
+    high = t >> 33 << 33
+    outs = [t - 1, t, t + 1, t + 2**33 - 1, t + 2**33, high + 1, high + 2**32, high + 2**33 - 1]
+    outs += [high + (k * 0x9E3779B9) % 2**33 for k in range(64)]
+    seeds = [(_state_before_last_step(o % 2**64) - GOLDEN_GAMMA) % 2**64 for o in outs] + [7, 2**63 + 5, MASK64]
+    n = 20000
+    col = np.array(seeds, dtype=np.uint64)[:, None]
+    z, w = np.empty((2, len(seeds), n), dtype=np.uint64)
+    right = np.empty((len(seeds), n), dtype=bool)
+    _moves(col, stream_increments(0, n), t, z, w, right)
+    flips = 0
+    for row, seed, o in zip(right, seeds, outs + [None] * 3):
+        assert np.array_equal(row, uniform_block(seed, 0, n) < alpha), (alpha, seed)
+        if o is not None:
+            assert mix_u64(np.array([(seed + GOLDEN_GAMMA) % 2**64], dtype=np.uint64), last=False)[0] == o % 2**64
+            flips += (o % 2**64 < t) != ((o ^ (o >> 31)) % 2**64 < t)
+    # off the grid, some of these states sit where skipping the step would flip the move
+    assert (flips > 0) == (t % 2**33 != 0)
