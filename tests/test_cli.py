@@ -418,6 +418,11 @@ GOLDEN_CSV = [
     (("simulate", "walkers", "--b", "2,3", "--alphas", "0.25,0.375,0.3", "--steps", "3000",
       "--trials", "3", "--seed", "31"),
      "e8439d0d1cbcdd58321828f62bb7952fae2beff12a315907c91b7e1ae52d3059"),
+    # 40 later walkers, on and off the 2**-31 grid, masked in groups on both
+    # sides of the 2**20-step chunk boundary
+    (("simulate", "walkers", "--b", "2,3", "--alphas", ",".join(["0.5,0.3,0.25,0.7,0.375,0.45,0.625,0.6,0.125,0.55"] * 4),
+      "--steps", "1049000", "--trials", "1", "--seed", "37"),
+     "2de40b09f0d29800fe1963d4feb2ba3f785a4193c0c944df1418d70188dba307"),
 ]
 GOLDEN_EXACT_CSV = [
     (("exact", "watchpoints", "--b", "1,2", "--watchpoints", "0,0;1,2;2,1", "--alpha", "0.4",
