@@ -112,6 +112,16 @@ def _parse_seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"bad seed {text!r}") from None
 
 
+def _parse_threads(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"bad --threads {text!r}; expected a positive integer")
+    return threads
+
+
 def _parse_watchpoints(text: str) -> list[tuple[int, int]]:
     try:
         pts = []
@@ -259,7 +269,7 @@ TOL = _flag("--tol", type=float, default=DEFAULT_TOL, help="density tolerance")
 # seeded Monte Carlo commands; the seed goes into the record's own field
 RUN = (
     _flag("--seed", recorded=False, type=_parse_seed, default=1),
-    _flag("--threads", recorded=False, type=int, default=_default_threads(),
+    _flag("--threads", recorded=False, type=_parse_threads, default=_default_threads(),
           help="worker threads (default: the CPUs this process may run on)"),
     _flag("--budget", recorded=False, type=int, default=DEFAULT_BUDGET,
           help="cap on total walker-steps (r*steps*trials)"),

@@ -43,6 +43,11 @@ _CHUNK = 1 << 20
 # square root stays inside MAX_TABLE_ENTRIES.
 _ALIVE_REACH = 1 << 52
 _BATCH_STEP_LIMIT = 64
+# The alive path masks its later walkers in groups of at most _GROUP_CAP,
+# gathering at most _GROUP_BUDGET positions per group (or one walker's alive
+# steps, when more), which bounds the memory of a group's mask.
+_GROUP_CAP = 32
+_GROUP_BUDGET = 1 << 15
 _ORIGIN = ((0, 0),)
 # The process's one trial pool as (threads, executor), so that repeated
 # requests reuse its idle threads instead of starting new ones.
@@ -133,9 +138,11 @@ def _moves(seed_col, incs, limit: int, z, w, right) -> np.ndarray:
 
 def _positions(seed_col, incs, limit, x_prev, z, w, right) -> np.ndarray:
     """x over one step chunk (see _moves), each row continuing from x_prev
-    (advanced in place), as an int64 view of z; w is free again on return."""
+    (advanced in place), as an int64 view of z; w is free again on return.
+    The moves are cast before the cumsum: a cumsum that casts holds the GIL."""
     x = z.view(np.int64)
-    np.cumsum(_moves(seed_col, incs, limit, z, w, right), axis=1, dtype=np.int64, out=x)
+    np.copyto(x, _moves(seed_col, incs, limit, z, w, right))
+    np.cumsum(x, axis=1, out=x)
     x += x_prev[:, None]
     x_prev[:] = x[:, -1]
     return x
@@ -168,23 +175,26 @@ def _candidates(lo: int, start: int, cnt: int, points) -> np.ndarray:
     return cand
 
 
-def _counts(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Running counts of the True entries of a bool array whose length is a
-    multiple of 64: bit t of p[w] is flags[64w + t], and c[w] counts them in
-    flags[: 64w], for w up to p.size.  Cheaper than a cumsum over the flags,
-    which also holds the GIL."""
-    p = np.packbits(flags, bitorder="little").view("<u8")
-    c = np.zeros(p.size + 1, dtype=np.int64)
-    np.cumsum(np.bitwise_count(p), out=c[1:])
-    return p, c
+def _counts(p: np.ndarray) -> np.ndarray:
+    """Running counts of the True entries of bool flags packed 64 to a word,
+    p = np.packbits(flags, bitorder="little").view("<u8"), in each row of p:
+    bit t of p[..., w] is flags[..., 64w + t], and c[..., w] counts them in
+    flags[..., : 64w], for w up to the row length.  Cheaper than a cumsum
+    over the flags, which also holds the GIL."""
+    c = np.zeros((*p.shape[:-1], p.shape[-1] + 1), dtype=np.int64)
+    np.cumsum(np.bitwise_count(p), axis=-1, out=c[..., 1:])
+    return c
 
 
-def _count_through(p: np.ndarray, c: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The number of True entries in flags[: k + 1], at each index k: the
-    count before k's word, plus the bits of the word through k, shifted to
-    the top."""
+def _count_through(p: np.ndarray, c: np.ndarray, k: np.ndarray, out=None) -> np.ndarray:
+    """The number of True entries in flags[..., : k + 1] (see _counts), at
+    each index k and in each row: the count before k's word, plus the bits
+    of the word through k, shifted to the top.  Into out, an int64 array of
+    the result's shape, when given."""
     w = k >> 6
-    return c.take(w) + np.bitwise_count(p.take(w) << (~k & 63).view(np.uint64))
+    n = c.take(w, axis=-1, out=out, mode="clip")  # clip: out would be buffered for "raise"
+    n += np.bitwise_count(p.take(w, axis=-1) << (~k & 63).view(np.uint64))
+    return n
 
 
 def _first_reaching(p: np.ndarray, c: np.ndarray, level: int, true: bool) -> int:
@@ -209,13 +219,13 @@ def _first_reaching(p: np.ndarray, c: np.ndarray, level: int, true: bool) -> int
     return 64 * w + (word & -word).bit_length() - 1
 
 
-def _axis_runs(p, c, cnt: int, x0: int, start: int, points, ok) -> list[np.ndarray]:
+def _axis_runs(p, c, cnt: int, x0: int, start: int, points, ok) -> list[tuple[np.ndarray, np.ndarray]]:
     """Offsets into the chunk of the steps in ok at which the walk meets a
-    point's axis (x == u or y == v), an array per axis met.  p and c count
-    its right moves over the chunk (see _counts), which follows step start
-    at x = x0.  The walk is at x == u while its count of right moves
-    reaches u - x0 and not yet one more, and at y == v likewise with the up
-    moves."""
+    point's axis (x == u or y == v), with the walk's x there, a pair of
+    arrays per axis met.  p and c count its right moves over the chunk (see
+    _counts), which follows step start at x = x0.  The walk is at x == u
+    while its count of right moves reaches u - x0 and not yet one more, and
+    at y == v likewise with the up moves."""
     rights = int(c[-1])
     runs = []
     for u, v in points:
@@ -224,8 +234,16 @@ def _axis_runs(p, c, cnt: int, x0: int, start: int, points, ok) -> list[np.ndarr
                 lo = _first_reaching(p, c, level, true)
                 hi = min(_first_reaching(p, c, level + 1, true), cnt)
                 if lo < hi:
-                    runs.append(lo + np.flatnonzero(ok[lo:hi]))
+                    steps = lo + np.flatnonzero(ok[lo:hi])
+                    runs.append((steps, np.full(steps.size, u) if true else steps + (start + 1 - v)))
     return runs
+
+
+def _box(x0: np.ndarray, x1: np.ndarray, start: int, cnt: int) -> tuple:
+    """visible_mask bounds on the positions over steps start + 1 .. start +
+    cnt of the walks at x0 after step start and at x1 after the chunk, an
+    entry per walk: x never falls, and y = i - x."""
+    return (int(x0.min()), int(x1.max())), (start - int(x0.max()), start + cnt - int(x1.min()))
 
 
 def _visible_counts(b, trial_seeds: np.ndarray, alphas, points, n: int) -> np.ndarray:
@@ -241,12 +259,16 @@ def _visible_counts(b, trial_seeds: np.ndarray, alphas, points, n: int) -> np.nd
     With several streams, lo = min(b) >= 2 and a block of one trial, stream
     0 is masked at every step and each later stream only at the steps it
     could still hide: the alive candidate steps (see _candidates) and the
-    steps of its own axis runs not yet hidden (see _axis_runs).  A step
-    that comes twice gets the same mask value twice.  The alive set shrinks
-    as the streams hide steps.  Blocks of several trials (the batched small-n
-    path), which measured no faster that way, keep the full-length mask, and
-    so do points farther than _ALIVE_REACH.  Raises ValueError when a
-    displacement could leave int64.
+    steps of its own axis runs not yet hidden (see _axis_runs).  The later
+    streams draw one at a time but are masked in groups of consecutive
+    streams (see _GROUP_CAP), with one gather and one mask of the alive
+    steps per group, and one mask of its axis runs.  A step's count is the
+    AND over the streams, so masking a stream at a step that another of
+    its group hides, or at a step twice, changes nothing.  The alive set
+    shrinks as the groups hide steps.  Blocks of several trials (the
+    batched small-n path), which measured no faster that way, keep the
+    full-length mask, and so do points farther than _ALIVE_REACH.  Raises
+    ValueError when a displacement could leave int64.
     """
     _check_steps(points, n)
     points = tuple((int(u), int(v)) for u, v in points)  # hashable, for _candidates
@@ -265,6 +287,7 @@ def _visible_counts(b, trial_seeds: np.ndarray, alphas, points, n: int) -> np.nd
         alive_path = prune and tb == 1
         x_prev = np.zeros(seeds.shape, dtype=np.int64)
         bufs = np.empty((2, tb * min(n, _CHUNK)), dtype=np.uint64)
+        gx, gy = bufs.view(np.int64)  # a group's gathers, between its draws
         flags = np.zeros((bufs.shape[1] // 64 + 1) * 64, dtype=bool)  # a False word past the end
         for start in range(0, n, _CHUNK):
             cnt = min(_CHUNK, n - start)
@@ -274,27 +297,45 @@ def _visible_counts(b, trial_seeds: np.ndarray, alphas, points, n: int) -> np.nd
             y = w.view(np.int64)
             ok = np.ones(tb * cnt, dtype=bool)
             for j in range(1 if alive_path else len(limits)):
+                x0 = x_prev[:, j].copy()
                 x = _positions(seeds[:, j, None], incs, limits[j], x_prev[:, j], z, w, r)
                 np.subtract(i, x, out=y)
-                ok &= visible_mask(b, x.ravel(), y.ravel(), points)
+                box = _box(x0, x_prev[:, j], start, cnt)
+                ok &= visible_mask(b, x.ravel(), y.ravel(), points, bounds=box)
             if alive_path:
                 cand = _candidates(lo, start, cnt, points)
                 alive = np.flatnonzero(ok & cand)
                 padded = flags[: (cnt // 64 + 1) * 64]
                 padded[cnt:] = False
-                for j in range(1, len(limits)):
-                    _moves(seeds[:, j, None], incs, limits[j], z, w, r)
-                    p, c = _counts(padded)
-                    x0, rights = int(x_prev[0, j]), int(c[-1])
-                    x_prev[0, j] = x0 + rights
-                    idx = np.concatenate((alive, *_axis_runs(p, c, cnt, x0, start, points, ok)))
-                    xs = x0 + _count_through(p, c, idx)
-                    ys = idx + (start + 1) - xs
-                    # the walker's positions over the chunk lie within these
-                    box = ((x0, x0 + rights), (start - x0, start + cnt - x0 - rights))
-                    vis = visible_mask(b, xs, ys, points, bounds=box)
-                    ok[idx] = vis  # ok held at every step of idx
-                    alive = alive[vis[: alive.size]]
+                words = np.empty((_GROUP_CAP, padded.size // 64), dtype=np.uint64)
+                j = 1
+                while j < len(limits):
+                    room = min(_GROUP_BUDGET, cnt) // max(alive.size, 1)  # gx and gy hold cnt entries
+                    g = max(1, min(_GROUP_CAP, len(limits) - j, room))
+                    p = words[:g]
+                    for k in range(g):
+                        _moves(seeds[:, j + k, None], incs, limits[j + k], z, w, r)
+                        p[k] = np.packbits(padded, bitorder="little").view("<u8")
+                    c = _counts(p)
+                    x0 = x_prev[0, j : j + g].copy()
+                    x_prev[0, j : j + g] += c[:, -1]
+                    box = _box(x0, x_prev[0, j : j + g], start, cnt)
+                    runs = []
+                    for k in range(g):
+                        runs += _axis_runs(p[k], c[k], cnt, int(x0[k]), start, points, ok)
+                    if runs:
+                        idx, xs = map(np.concatenate, zip(*runs))
+                        vis = visible_mask(b, xs, idx + (start + 1) - xs, points, bounds=box)
+                        ok[idx[~vis]] = False  # not ok[idx] = vis: two streams may share a step
+                        alive = alive[ok[alive]]
+                    m = alive.size
+                    xs = _count_through(p, c, alive, out=gx[: g * m].reshape(g, m))
+                    xs += x0[:, None]
+                    ys = np.subtract(alive + (start + 1), xs, out=gy[: g * m].reshape(g, m))
+                    keep = visible_mask(b, xs, ys, points, bounds=box).all(axis=0)
+                    ok[alive[~keep]] = False
+                    alive = alive[keep]
+                    j += g
             counts[t0 : t0 + tb] += np.count_nonzero(ok.reshape(tb, cnt), axis=1)
     return counts
 

@@ -370,6 +370,14 @@ def test_threads_default_to_usable_cpus():
     assert args.threads == len(os.sched_getaffinity(0))
 
 
+@pytest.mark.parametrize("threads", ["0", "-1", "two"])
+def test_threads_below_one_exit_2(threads, capsys):
+    code, out = run_cli("simulate", "walkers", "--b", "2,3", "--alphas", "0.5,0.5", "--steps", "100",
+                        "--trials", "2", "--threads", threads)
+    assert (code, out) == (2, "")
+    assert f"bad --threads {threads!r}; expected a positive integer" in capsys.readouterr().err
+
+
 # sha256 of the CSV each command prints; every Monte Carlo path (per-trial,
 # threaded, batched small n, a run across the 2**20-step chunk boundary) and
 # both exact oracles are pinned to the same bytes.

@@ -332,6 +332,56 @@ def test_visible_counts_across_chunks(monkeypatch):
             assert got.tolist() == scalar_counts(b, [seed], (0.5, 0.6, 0.4), points, 150), (b, seed)
 
 
+# alphas on the 2**-31 grid (the mixer's last xorshift skipped) and off it
+MIXED_ALPHAS = (0.5, 0.3, 0.25, 0.7, 0.375, 0.45, 0.625)
+
+
+def test_grouped_later_walkers_match_scalar_walk(monkeypatch):
+    # small chunks, so groups fall on both sides of chunk boundaries, and
+    # points near the walk, so a group's walkers meet axes at the same step,
+    # one hidden there and one visible (at step 3, (3, 0) and (1, 2) from
+    # (0, 0) and (1, 1)); with a cap that these few alive steps fill, the
+    # sizes seen cover a lone walker, groups cut by the budget and full groups
+    monkeypatch.setattr(walkvis.estimators, "_CHUNK", 128)
+    monkeypatch.setattr(walkvis.estimators, "_GROUP_CAP", 8)
+    sizes = set()
+    counts = walkvis.estimators._counts
+
+    def counting(p):
+        sizes.add(p.shape[0])
+        return counts(p)
+
+    monkeypatch.setattr(walkvis.estimators, "_counts", counting)
+    points = [(0, 0), (1, 1), (5, 3)]
+    for r in (2, 7, 40, 70):
+        alphas = [MIXED_ALPHAS[j % len(MIXED_ALPHAS)] for j in range(r)]
+        for b in ((2, 3), (3, 2)):
+            for seed in range(3):
+                got = _visible_counts(b, np.array([seed], dtype=np.uint64), alphas, points, 300)
+                assert got.tolist() == scalar_counts(b, [seed], alphas, points, 300), (r, b, seed)
+    cap = walkvis.estimators._GROUP_CAP
+    assert {1, cap} <= sizes and any(1 < g < cap for g in sizes), sizes
+
+
+@pytest.mark.parametrize("chunk", [1 << 10, 1 << 20])
+def test_group_budget_leaves_counts_unchanged(monkeypatch, chunk):
+    # one walker per group, groups as large as the cap and the chunk allow,
+    # and the default: the same count of every trial
+    monkeypatch.setattr(walkvis.estimators, "_CHUNK", chunk)
+    alphas = [MIXED_ALPHAS[j % len(MIXED_ALPHAS)] for j in range(60)]
+    want = None
+    for budget in (1, 1 << 30, walkvis.estimators._GROUP_BUDGET):
+        monkeypatch.setattr(walkvis.estimators, "_GROUP_BUDGET", budget)
+        got = [
+            _visible_counts(b, np.array([seed], dtype=np.uint64), alphas, points, 5000).tolist()
+            for b in ((2, 3), (3, 5))
+            for points in ([(0, 0)], [(0, 0), (40, 25)])
+            for seed in range(2)
+        ]
+        want = want or got
+        assert got == want, budget
+
+
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 200, 1000])
 @pytest.mark.parametrize("share", [0.0, 0.5, 0.97])
 def test_count_helpers_match_cumsum(n, share):
@@ -340,10 +390,15 @@ def test_count_helpers_match_cumsum(n, share):
     state = np.random.default_rng(n)
     flags = np.zeros((n // 64 + 1) * 64, dtype=bool)
     flags[:n] = state.random(n) < share
-    p, c = _counts(flags)
+    p = np.packbits(flags, bitorder="little").view("<u8")
+    c = _counts(p)
     ones = np.cumsum(flags)
     k = np.arange(flags.size)
     assert _count_through(p, c, k).tolist() == ones.tolist()
+    # row-wise, as the engine counts a group of walkers: each row on its own
+    rows = np.stack([p, ~p, np.roll(p, 1)])
+    want = np.cumsum(np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little"), axis=1)
+    assert _count_through(rows, _counts(rows), k).tolist() == want.tolist()
     picks = np.array([63, flags.size - 1, flags.size - 64, n - 1], dtype=np.int64)  # k & 63 == 63, last word
     assert _count_through(p, c, picks).tolist() == ones[picks].tolist()
     for true, through in ((True, ones), (False, np.cumsum(~flags))):
