@@ -431,6 +431,11 @@ GOLDEN_CSV = [
     (("simulate", "walkers", "--b", "2,3", "--alphas", ",".join(["0.5,0.3,0.25,0.7,0.375,0.45,0.625,0.6,0.125,0.55"] * 4),
       "--steps", "1049000", "--trials", "1", "--seed", "37"),
      "2de40b09f0d29800fe1963d4feb2ba3f785a4193c0c944df1418d70188dba307"),
+    # 2**20 + 7 steps: the second chunk is shorter than one 8-step byte
+    # word, and alpha 0.3 is off the 2**-31 grid
+    (("simulate", "watchpoints", "--b", "1,3", "--watchpoints", "0,0;1,2;2,1", "--alpha", "0.3",
+      "--steps", "1048583", "--trials", "2", "--seed", "41"),
+     "1e5febdfae31248d5b6e2e7ea4282550b90d317c7724a20a61c1c11e28b60440"),
 ]
 GOLDEN_EXACT_CSV = [
     (("exact", "watchpoints", "--b", "1,2", "--watchpoints", "0,0;1,2;2,1", "--alpha", "0.4",
