@@ -38,6 +38,7 @@ from .walk import (
 EXACT_STEP_CAP = 2000
 
 _CHUNK = 1 << 20
+_BYTE_ONES = np.uint64(0x0101010101010101)
 # Points within this reach of the origin keep every bit table the alive
 # path builds (windows up to twice the largest value) below 2**53, whose
 # square root stays inside MAX_TABLE_ENTRIES.
@@ -137,14 +138,29 @@ def _moves(seed_col, incs, limit: int, z, w, right) -> np.ndarray:
 
 
 def _positions(seed_col, incs, limit, x_prev, z, w, right) -> np.ndarray:
-    """x over one step chunk (see _moves), each row continuing from x_prev
-    (advanced in place), as an int64 view of z; w is free again on return.
-    The moves are cast before the cumsum: a cumsum that casts holds the GIL."""
+    """x over one step chunk (see _moves), each row continuing from x_prev,
+    as an int64 view of z of right's shape.  z, w and right hold a row per
+    seed, padded past the chunk's len(incs) steps to whole 8-step words;
+    x_prev advances in place to each row's last real step, and x is junk
+    past it.  right is left holding byte counts, and w is free again.
+
+    Viewed as little-endian words, the moves times 0x0101010101010101 hold
+    in each byte the count of right moves through it within its word, the
+    top byte the word's total.  A 1-D cumsum of those totals, into its own
+    output (a cumsum over rows, or in place, holds the GIL), gives each
+    word's base, and one broadcast add of the bytes writes x."""
+    cnt = incs.size
+    _moves(seed_col, incs, limit, z[:, :cnt], w[:, :cnt], right[:, :cnt])
+    words = right.view("<u8")
+    words *= _BYTE_ONES  # bytes past cnt change only later bytes and the last total
+    base = np.zeros(words.size + 1, dtype=np.int64)
+    np.cumsum((words >> np.uint64(56)).view(np.int64).ravel(), out=base[1:])
+    base = base[:-1].reshape(words.shape)
+    base += (x_prev - base[:, 0])[:, None]  # each row from its own x_prev
     x = z.view(np.int64)
-    np.copyto(x, _moves(seed_col, incs, limit, z, w, right))
-    np.cumsum(x, axis=1, out=x)
-    x += x_prev[:, None]
-    x_prev[:] = x[:, -1]
+    shape = (*words.shape, 8)
+    np.add(base[..., None], right.view(np.uint8).reshape(shape), out=x.reshape(shape))
+    x_prev[:] = x[:, cnt - 1]
     return x
 
 
@@ -179,11 +195,15 @@ def _counts(p: np.ndarray) -> np.ndarray:
     """Running counts of the True entries of bool flags packed 64 to a word,
     p = np.packbits(flags, bitorder="little").view("<u8"), in each row of p:
     bit t of p[..., w] is flags[..., 64w + t], and c[..., w] counts them in
-    flags[..., : 64w], for w up to the row length.  Cheaper than a cumsum
-    over the flags, which also holds the GIL."""
-    c = np.zeros((*p.shape[:-1], p.shape[-1] + 1), dtype=np.int64)
-    np.cumsum(np.bitwise_count(p), axis=-1, out=c[..., 1:])
-    return c
+    flags[..., : 64w], for w up to the row length.  One 1-D cumsum over all
+    rows, into its own output, less each row's start: a cumsum over rows,
+    or one that casts, holds the GIL."""
+    rows = p.reshape(-1, p.shape[-1])
+    run = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(np.bitwise_count(rows).astype(np.int64).ravel(), out=run[1:])
+    c = np.zeros((len(rows), rows.shape[1] + 1), dtype=np.int64)
+    np.subtract(run[1:].reshape(rows.shape), run[:-1 : rows.shape[1], None], out=c[:, 1:])
+    return c.reshape(*p.shape[:-1], -1)
 
 
 def _count_through(p: np.ndarray, c: np.ndarray, k: np.ndarray, out=None) -> np.ndarray:
@@ -286,25 +306,27 @@ def _visible_counts(b, trial_seeds: np.ndarray, alphas, points, n: int) -> np.nd
         tb = len(seeds)
         alive_path = prune and tb == 1
         x_prev = np.zeros(seeds.shape, dtype=np.int64)
-        bufs = np.empty((2, tb * min(n, _CHUNK)), dtype=np.uint64)
+        bufs = np.empty((2, tb * (min(n, _CHUNK) + 7)), dtype=np.uint64)
         gx, gy = bufs.view(np.int64)  # a group's gathers, between its draws
         flags = np.zeros((bufs.shape[1] // 64 + 1) * 64, dtype=bool)  # a False word past the end
         for start in range(0, n, _CHUNK):
             cnt = min(_CHUNK, n - start)
             i, incs = _chunk_steps(start, cnt)
-            z, w = bufs[:, : tb * cnt].reshape(2, tb, cnt)
-            r = flags[: tb * cnt].reshape(tb, cnt)
-            y = w.view(np.int64)
+            row = cnt + -cnt % 8  # padded to whole 8-step words, for _positions
+            z, w = bufs[:, : tb * row].reshape(2, tb, row)
+            r = flags[: tb * row].reshape(tb, row)
+            y = w.view(np.int64)[:, :cnt]
             ok = np.ones(tb * cnt, dtype=bool)
             for j in range(1 if alive_path else len(limits)):
                 x0 = x_prev[:, j].copy()
-                x = _positions(seeds[:, j, None], incs, limits[j], x_prev[:, j], z, w, r)
+                x = _positions(seeds[:, j, None], incs, limits[j], x_prev[:, j], z, w, r)[:, :cnt]
                 np.subtract(i, x, out=y)
                 box = _box(x0, x_prev[:, j], start, cnt)
-                ok &= visible_mask(b, x.ravel(), y.ravel(), points, bounds=box)
+                ok &= visible_mask(b, x, y, points, bounds=box).ravel()
             if alive_path:
                 cand = _candidates(lo, start, cnt, points)
                 alive = np.flatnonzero(ok & cand)
+                real = z[:, :cnt], w[:, :cnt], r[:, :cnt]
                 padded = flags[: (cnt // 64 + 1) * 64]
                 padded[cnt:] = False
                 words = np.empty((_GROUP_CAP, padded.size // 64), dtype=np.uint64)
@@ -314,7 +336,7 @@ def _visible_counts(b, trial_seeds: np.ndarray, alphas, points, n: int) -> np.nd
                     g = max(1, min(_GROUP_CAP, len(limits) - j, room))
                     p = words[:g]
                     for k in range(g):
-                        _moves(seeds[:, j + k, None], incs, limits[j + k], z, w, r)
+                        _moves(seeds[:, j + k, None], incs, limits[j + k], *real)
                         p[k] = np.packbits(padded, bitorder="little").view("<u8")
                     c = _counts(p)
                     x0 = x_prev[0, j : j + g].copy()

@@ -14,9 +14,11 @@ from walkvis.estimators import (
     SimulationSpec,
     WalkersMode,
     WatchpointsMode,
+    _chunk_steps,
     _count_through,
     _counts,
     _first_reaching,
+    _positions,
     _run_trial,
     _visible_counts,
     aggregate_trials,
@@ -28,7 +30,7 @@ from walkvis.estimators import (
 from walkvis.numtheory import CapacityError
 from walkvis.theory import density_walkers, density_watchpoints
 from walkvis.visibility import is_b_visible, validate_watchpoint_set
-from walkvis.walk import WalkerConfig, derive_trial_seed, walk_positions
+from walkvis.walk import WalkerConfig, derive_trial_seed, mix_u64, right_threshold, walk_positions
 
 
 def exact_mean_by_enumeration(b, points, alpha, n):
@@ -380,6 +382,28 @@ def test_group_budget_leaves_counts_unchanged(monkeypatch, chunk):
         ]
         want = want or got
         assert got == want, budget
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("alpha", [0.5, 0.25, 0.3, 0.7])  # on the 2**-31 grid and off it
+def test_positions_match_cumsum(rows, alpha):
+    # every chunk length mod 8, rows padded to whole 8-step words as the
+    # engine pads them, with junk in the padding and a carry per row
+    limit = int(right_threshold(alpha)) << 11
+    seeds = np.array([[7], [2**63 + 5], [2**64 - 1]][:rows], dtype=np.uint64)
+    carry = np.array([0, -13, 2**40][:rows], dtype=np.int64)
+    for cnt in range(1, 131):
+        incs = _chunk_steps(1000, cnt)[1]
+        padded = -(-cnt // 8) * 8
+        z, w = np.full((2, rows, padded), 2**64 - 1, dtype=np.uint64)
+        flags = np.full((rows, padded), 255, dtype=np.uint8).view(bool)
+        x_prev = carry.copy()
+        x = _positions(seeds, incs, limit, x_prev, z, w, flags)
+        moves = mix_u64(seeds + incs) < np.uint64(limit)
+        want = carry[:, None] + np.cumsum(moves, axis=1)
+        assert x.shape == (rows, padded)
+        assert x[:, :cnt].tolist() == want.tolist(), cnt
+        assert x_prev.tolist() == want[:, -1].tolist(), cnt
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 200, 1000])
