@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -16,7 +17,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-#: Hard cap on sieve size (number of table entries), overridable per call.
+#: Hard cap on sieve size (number of table entries).
 MAX_TABLE_ENTRIES = 200_000_000
 
 
@@ -78,26 +79,45 @@ class PrimeTables:
     spf: np.ndarray  # int32, indexed 0..limit
 
 
-def sieve_primes(limit: int) -> np.ndarray:
-    """Primes <= limit as an int64 array (plain Eratosthenes, no aux tables)."""
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = False
-    return np.nonzero(flags)[0].astype(np.int64)
+# The primes up to _PRIMES[0], ascending and read-only, shared by every
+# caller.  The list only grows (under _GROW), so a prefix read before a
+# growth keeps its values.
+_PRIMES = (1, np.zeros(0, dtype=np.int64))
+_PRIMES[1].flags.writeable = False
+_GROW = threading.Lock()
 
 
-def build_tables(limit: int, max_entries: int = MAX_TABLE_ENTRIES) -> PrimeTables:
+def sieve_primes(limit) -> np.ndarray:
+    """Primes <= limit, ascending, as a read-only int64 prefix of one shared
+    list.  A limit past the list grows it, by Eratosthenes, to
+    max(limit, min(2 * current, MAX_TABLE_ENTRIES), 1024).  Raises
+    CapacityError, before anything is sieved, for a limit (NaN and infinity
+    included) that is not below MAX_TABLE_ENTRIES."""
+    global _PRIMES
+    if not limit < MAX_TABLE_ENTRIES:
+        raise CapacityError(f"the primes up to {limit} exceed the cap of {MAX_TABLE_ENTRIES} table entries")
+    limit = int(max(limit, 0))
+    with _GROW:
+        if limit > _PRIMES[0]:
+            top = max(limit, min(2 * _PRIMES[0], MAX_TABLE_ENTRIES), 1 << 10)
+            flags = np.ones(top + 1, dtype=bool)
+            flags[:2] = False
+            for i in range(2, math.isqrt(top) + 1):
+                if flags[i]:
+                    flags[i * i :: i] = False
+            primes = np.flatnonzero(flags).astype(np.int64, copy=False)
+            primes.flags.writeable = False
+            _PRIMES = (top, primes)
+        primes = _PRIMES[1]
+    return primes[: int(np.searchsorted(primes, limit, side="right"))]
+
+
+def build_tables(limit: int) -> PrimeTables:
     """Sieve primes, Mobius values and smallest prime factors up to ``limit``."""
     if limit < 2:
         raise CapacityError(f"sieve limit must be at least 2, got {limit}")
-    if limit + 1 > max_entries:
-        raise CapacityError(
-            f"sieve of {limit + 1} entries exceeds the cap of {max_entries}"
-        )
+    if limit + 1 > MAX_TABLE_ENTRIES:
+        raise CapacityError(f"sieve of {limit + 1} entries exceeds the cap of {MAX_TABLE_ENTRIES}")
     spf = np.zeros(limit + 1, dtype=np.int32)
     for i in range(2, math.isqrt(limit) + 1):
         if spf[i] == 0:
@@ -400,7 +420,7 @@ def euler_tail_cutoff(dev_constant: float, kappa: float, tol: float) -> float:
     """
     if kappa < 2:
         raise ValueError(f"decay exponent must be >= 2, got {kappa}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if dev_constant < 0:
         raise ValueError(f"deviation constant must be >= 0, got {dev_constant}")
@@ -413,13 +433,11 @@ def euler_tail_cutoff(dev_constant: float, kappa: float, tol: float) -> float:
 
 def _euler_primes(dev_constant: float, kappa: float, tol: float) -> tuple[list[int], float]:
     """The primes up to the first one, P, at or past euler_tail_cutoff, and
-    the tail bound 2*C*P**(1-kappa)/(kappa-1) at P."""
+    the tail bound 2*C*P**(1-kappa)/(kappa-1) at P.  The list reaches P: by
+    Nagura (1952) there is a prime in (n, 6n/5) for n >= 25, and the +64
+    covers smaller cutoffs."""
     cutoff = euler_tail_cutoff(dev_constant, kappa, tol)
-    limit = max(8, int(cutoff * 1.3) + 64)
-    primes = sieve_primes(limit)
-    while float(primes[-1]) < cutoff:
-        limit *= 2
-        primes = sieve_primes(limit)
+    primes = sieve_primes(1.3 * cutoff + 64)
     included = primes[: int(np.searchsorted(primes, math.ceil(cutoff))) + 1].tolist()
     tail = 2.0 * dev_constant * float(included[-1]) ** (1.0 - kappa) / (kappa - 1.0)
     return included, tail

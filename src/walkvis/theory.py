@@ -132,11 +132,12 @@ def _f_bs_table(bb: BExponent, s: ShiftVector, lo: int, hi: int) -> np.ndarray:
         return np.ones(0)
     if hi - lo + 1 > MAX_TABLE_ENTRIES:
         raise CapacityError(f"f_b table on [{lo}, {hi}] exceeds the cap of {MAX_TABLE_ENTRIES} entries")
-    vals = np.ones(hi - lo + 1)
     top = hi - min(s)  # the largest n - s_j; at least 1 once lo > max|s_j|
     span = max(s) - min(s)
     distinct = Counter(s)  # once p**b1 > span, the distinct s_j are the classes
-    for p in sieve_primes(max(2, int(round(top ** (1.0 / bb.b1))) + 1)).tolist():
+    primes = sieve_primes(round(top ** (1.0 / bb.b1)) + 1)  # raises past the cap before vals exists
+    vals = np.ones(hi - lo + 1)
+    for p in primes.tolist():
         q = p**bb.b1
         if q > top:
             break

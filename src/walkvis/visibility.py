@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -136,13 +135,6 @@ def validate_watchpoint_set(b, points: Sequence) -> WatchpointSet:
     return WatchpointSet(bb, tuple(pts))
 
 
-# The primes up to _PRIMES[0], ascending, shared by every call.  The list
-# only grows (under _GROW), so the first |P| primes that a table was built
-# from stay the same.
-_PRIMES = (1, np.zeros(0, dtype=np.int64))
-_GROW = threading.Lock()
-
-
 def _window(lo: int, hi: int) -> tuple[int, int]:
     """(base, size) of the table window for values in [lo, hi]: base is the
     multiple of g at or below lo, where g is the power of two above the
@@ -153,27 +145,10 @@ def _window(lo: int, hi: int) -> tuple[int, int]:
     return base, 1 << (hi - base).bit_length()
 
 
-def _prime_count(root: int) -> int:
-    """|P|, the number of primes up to root, the bound on the primes that
-    can hide a displacement (see _PRIMES).  Raises CapacityError when root
-    passes MAX_TABLE_ENTRIES."""
-    global _PRIMES
-    if root >= MAX_TABLE_ENTRIES:
-        raise CapacityError(
-            f"visibility tables need the primes up to {root}, beyond the cap of {MAX_TABLE_ENTRIES}"
-        )
-    with _GROW:
-        if root > _PRIMES[0]:
-            limit = max(root, min(2 * _PRIMES[0], MAX_TABLE_ENTRIES), 1 << 10)
-            _PRIMES = (limit, sieve_primes(limit))
-        primes = _PRIMES[1]
-    return int(np.searchsorted(primes, root, side="right"))
-
-
 @lru_cache(maxsize=64)
-def _layout(b: tuple, npoints: int, nprimes: int) -> tuple[int, int, int]:
+def _layout(b: tuple, npoints: int, root: int) -> tuple[int, int, int]:
     """(W, K, large) of the lane tables at b = (b1, b2) for npoints points
-    and the nprimes primes of P.  The points go round-robin to W words, g
+    and P, the primes up to root.  The points go round-robin to W words, g
     to a word.  A lane holds all of P (K = |P|, large = 0) when 2 + |P|
     bits fit g times, else the first K = 64 // g - 3 primes and one large
     bit for the rest of P.  W is the fewest words, from ceil(npoints / 21)
@@ -183,11 +158,11 @@ def _layout(b: tuple, npoints: int, nprimes: int) -> tuple[int, int, int]:
     or g = 1: a recheck costs microseconds, a word a few ns per position.
     large is the mask of the large bits of a word.
     """
-    past = _PRIMES[1][:nprimes].astype(float)
+    past = sieve_primes(root).astype(float)
     for words in itertools.count(-(-npoints // 21)):
         g = -(-npoints // words)
-        if g * (2 + nprimes) <= 64:
-            return words, nprimes, 0
+        if g * (2 + len(past)) <= 64:
+            return words, len(past), 0
         k = 64 // g - 3
         if g == 1 or npoints * (past[k:] ** -b[0]).sum() * (past[k:] ** -b[1]).sum() <= 2**-8:
             return words, k, sum(1 << j * (3 + k) + 2 + k for j in range(g))
@@ -196,11 +171,11 @@ def _layout(b: tuple, npoints: int, nprimes: int) -> tuple[int, int, int]:
 # One call reads one table per coordinate; more cached tables measurably
 # raised peak RSS on the Table 1 workload.
 @lru_cache(maxsize=2)
-def _lane_table(b: tuple, axis: int, base: int, size: int, coords: tuple, nprimes: int) -> np.ndarray:
+def _lane_table(b: tuple, axis: int, base: int, size: int, coords: tuple, root: int) -> np.ndarray:
     """The packed words of one coordinate at b = (b1, b2) for several
     points, at index [w, m - base] for base <= m < base + size, where
     coords holds each point's coordinate c on this axis, e = b[axis], and P
-    is the first nprimes primes.  Point k owns lane k // W of word k % W,
+    holds the primes up to root.  Point k owns lane k // W of word k % W,
     of 2 + K bits plus a large bit when there is one (see _layout): lane
     bit 2 + q is set when the q-th prime p has p**e | m - c, and the large
     bit when a prime of P past the K-th does.  Lane bits 0 and 1 carry the
@@ -210,14 +185,14 @@ def _lane_table(b: tuple, axis: int, base: int, size: int, coords: tuple, nprime
     the other is not +-1 (whose entry clears it).  Read-only, so threads
     may share it.
     """
-    words, nbits, large = _layout(b, len(coords), nprimes)
+    words, nbits, large = _layout(b, len(coords), root)
     e, width = b[axis], 2 + nbits + (large > 0)
     table = np.zeros((words, size), dtype=np.uint64)
     for k, c in enumerate(coords):
         row, shift = table[k % words], k // words * width
         lane = ((1 << width) - 1) << shift
         row |= np.uint64((2 >> axis) << shift)
-        for q, p in enumerate(_PRIMES[1][:nprimes].tolist()):
+        for q, p in enumerate(sieve_primes(root).tolist()):
             row[(c - base) % p**e :: p**e] |= np.uint64(1 << shift + 2 + min(q, nbits))
         for m in (c - 1, c + 1):
             if base <= m < base + size:
@@ -234,8 +209,8 @@ def _has_power_divisor(e: int, v: np.ndarray, vmin: int, vmax: int, shift: int) 
     one-point dx lane table (see _lane_table), whose large bit is exact
     for e >= 2: P holds every prime p with p**e within the window."""
     base, size = _window(vmin, vmax)
-    nprimes = _prime_count(_iroot(max(abs(base - shift), abs(base + size - 1 - shift), 1), e))
-    r = _lane_table((e, e), 0, base, size, (shift,), nprimes)[0][v - base]
+    root = _iroot(max(abs(base - shift), abs(base + size - 1 - shift), 1), e)
+    r = _lane_table((e, e), 0, base, size, (shift,), root)[0][v - base]
     r &= ~np.uint64(2)  # every bit but the nonunit axis bit
     return r != 0
 
@@ -283,10 +258,10 @@ def visible_mask(b, dx, dy, points=((0, 0),), bounds=None) -> np.ndarray:
         raise CapacityError(f"a visibility table of {max(nx, ny)} entries passes the cap of {MAX_TABLE_ENTRIES}")
     mx = max(max(abs(bx - u), abs(bx + nx - 1 - u)) for u, _ in points)
     my = max(max(abs(by - v), abs(by + ny - 1 - v)) for _, v in points)
-    nprimes = _prime_count(min(_iroot(max(mx, 1), bb.b1), _iroot(max(my, 1), bb.b2)))
+    root = min(_iroot(max(mx, 1), bb.b1), _iroot(max(my, 1), bb.b2))
     key = (bb.b1, bb.b2)
-    tx = _lane_table(key, 0, bx, nx, tuple(u for u, _ in points), nprimes)
-    ty = _lane_table(key, 1, by, ny, tuple(v for _, v in points), nprimes)
+    tx = _lane_table(key, 0, bx, nx, tuple(u for u, _ in points), root)
+    ty = _lane_table(key, 1, by, ny, tuple(v for _, v in points), root)
     ix, iy = dx - bx if bx else dx, dy - by if by else dy
     r = tx[0].take(ix)  # take is cheaper than fancy indexing
     r &= ty[0].take(iy)
@@ -295,7 +270,7 @@ def visible_mask(b, dx, dy, points=((0, 0),), bounds=None) -> np.ndarray:
         s &= ty[w].take(iy)
         r |= s
     vis = r == 0
-    large = _layout(key, len(points), nprimes)[2]
+    large = _layout(key, len(points), root)[2]
     if large:
         r &= np.uint64(~large & (2**64 - 1))
         for k in np.flatnonzero((r == 0) != vis).tolist():

@@ -582,3 +582,48 @@ def test_verify_mean_value_missing_input_exits_2():
         code, out = run_cli("verify", "mean-value", "--b", "2,3", "--x", "1000", *argv)
         assert code == 2
         assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("density", "walkers", "--b", "1,1", "--r", "3"),
+    ("density", "watchpoints", "--b", "1,2", "--J", "2"),
+    ("simulate", "walkers", "--b", "2,3", "--alphas", "0.5", "--steps", "10", "--trials", "1"),
+])
+@pytest.mark.parametrize("tol, want", [("nan", 2), ("5e-324", 4), ("1e-320", 4)])
+def test_tolerance_edge_cases_exit_cleanly(argv, tol, want, capsys):
+    # NaN is not a positive tolerance; a subnormal one puts the prime cutoff
+    # at infinity, past the sieve cap
+    code, out = run_cli(*argv, "--tol", tol)
+    assert code == want
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: tolerance must be positive" if want == 2 else "over budget:")
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("argv", [
+    ("density", "walkers", "--b", "1,1", "--r", "1000000000"),
+    ("density", "walkers", "--b", "1,1", "--r", "10000"),
+    ("density", "walkers", "--b", "1,1", "--r", "300", "--tol", "1e-15"),
+    ("density", "walkers", "--b", "2,3", "--r", "5", "--tol", "1e-300"),
+    ("density", "watchpoints", "--b", "1,2", "--J", "8", "--tol", "1e-300"),
+    # the first r at (1, 1) whose prime cutoff, at the default tol, passes the cap
+    ("density", "walkers", "--b", "1,1", "--r", "2809"),
+])
+def test_density_past_prime_cap_exits_4_in_bounded_memory(argv):
+    # in a fresh process limited to 1 GB of address space: refused before
+    # any sieve of the cutoff's size is allocated
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "walkvis.cli", *argv], capture_output=True, text=True,
+                          timeout=20, env=env, preexec_fn=_limit_address_space)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("over budget:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -2,12 +2,15 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from walkvis import numtheory
 from walkvis.numtheory import (
+    MAX_TABLE_ENTRIES,
     BExponent,
     CapacityError,
     _is_strong_lucas_prp,
@@ -95,7 +98,72 @@ def test_build_tables_capacity():
     with pytest.raises(CapacityError):
         build_tables(1)
     with pytest.raises(CapacityError):
-        build_tables(100, max_entries=50)
+        build_tables(MAX_TABLE_ENTRIES)  # raises before allocating
+
+
+def eratosthenes(limit):
+    """Primes <= limit, by a plain bytearray sieve, to check the shared list."""
+    if limit < 2:
+        return []
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    for i in range(2, math.isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return [n for n in range(limit + 1) if flags[n]]
+
+
+@pytest.fixture
+def fresh_primes(monkeypatch):
+    """An empty shared prime list for one test; the process's list is put back after it."""
+    monkeypatch.setattr(numtheory, "_PRIMES", (1, numtheory._PRIMES[1][:0]))
+
+
+@pytest.mark.parametrize("limit", [-1, 0, 1, 2, 3, 1023, 1024, 1025, 65537, 10**6])
+def test_sieve_primes_matches_eratosthenes(fresh_primes, limit):
+    got = sieve_primes(limit)
+    assert got.dtype == np.int64
+    assert got.tolist() == eratosthenes(limit)
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[:1] = 4
+
+
+def test_sieve_primes_prefix_survives_growth(fresh_primes):
+    small = sieve_primes(1000)
+    assert numtheory._PRIMES[0] == 1024  # the floor of one growth
+    want = small.tolist()
+    big = sieve_primes(50_000)
+    assert numtheory._PRIMES[0] == 50_000
+    assert small.tolist() == want and big[: len(small)].tolist() == want
+    sieve_primes(60_000)  # doubles: 2 * 50_000 passes 60_000
+    assert numtheory._PRIMES[0] == 100_000
+    assert big.tolist() == eratosthenes(50_000)
+
+
+def test_sieve_primes_grows_once_under_threads(fresh_primes):
+    barrier, out = threading.Barrier(4), [None] * 4
+
+    def read(i):
+        barrier.wait()
+        out[i] = sieve_primes(200_000)
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert numtheory._PRIMES[0] == 200_000
+    assert all(np.shares_memory(a, numtheory._PRIMES[1]) for a in out)  # one growth, read by all four
+    want = eratosthenes(200_000)
+    assert all(a.tolist() == want for a in out)
+
+
+@pytest.mark.parametrize("limit", [MAX_TABLE_ENTRIES, MAX_TABLE_ENTRIES + 0.5, math.inf, math.nan])
+def test_sieve_primes_capped(fresh_primes, limit):
+    with pytest.raises(CapacityError):
+        sieve_primes(limit)
+    assert numtheory._PRIMES[0] == 1  # nothing was sieved
 
 
 def test_gcd_b_examples():

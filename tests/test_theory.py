@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from walkvis import numtheory
 from walkvis.numtheory import DensityResult, as_bexp, zeta_int
 from walkvis.theory import (
     _f_bs_table,
@@ -191,6 +192,22 @@ def test_f_bs_two_shifts_brute_force():
         assert math.isclose(got, brute(2, 3, [1, -1], n), rel_tol=1e-12)
         got = f_bs_value((1, 2), [0, 1, 2], n)
         assert math.isclose(got, brute(1, 2, [0, 1, 2], n), rel_tol=1e-12)
+
+
+def test_densities_and_f_b_read_the_shared_primes():
+    # once the shared list reaches a call's limit, a repeat call sieves nothing
+    calls = [
+        lambda: density_walkers((1, 1), 3),
+        lambda: density_watchpoints((1, 2), 3, tol=1e-12),
+        lambda: f_b_values_upto((1, 2), 10**5),
+        lambda: mean_value_check("watchpoints-shifted", (1, 2), 10**4, shifts=(0, 3)),
+    ]
+    for call in calls:
+        call()
+    before = numtheory._PRIMES
+    for call in calls:
+        call()
+    assert numtheory._PRIMES is before
 
 
 def test_f_bs_table_matches_pointwise():

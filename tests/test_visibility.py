@@ -321,8 +321,8 @@ def test_visible_mask_lane_selection(monkeypatch, b, points, xs, ys, layout):
 
     monkeypatch.setattr(visibility, "_lane_table", counted)
     assert visible_mask(b, dx, dy, points).tolist() == _scalar_mask(b, dx, dy, points)
-    key, _, _, _, coords, nprimes = calls[0]
-    words, k, large = visibility._layout(key, len(coords), nprimes)
+    key, _, _, _, coords, root = calls[0]
+    words, k, large = visibility._layout(key, len(coords), root)
     assert (words, k, large != 0) == layout
     assert [real(*args).shape[0] for args in calls] == [words, words]
 
