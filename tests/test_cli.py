@@ -177,11 +177,13 @@ def test_simulate_watchpoints_with_large_coprime_coordinates():
     assert csv_rows(out)[1][-1][0] == "aggregate"
 
 
-def run_fresh_python(code, timeout):
-    """Run python code against this checkout's src in a new interpreter."""
+def run_fresh_python(args, timeout, **kwargs):
+    """Run python with these arguments (a str: code for -c) against this
+    checkout's src in a new interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=timeout, env=env)
+    args = ["-c", args] if isinstance(args, str) else list(args)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env, **kwargs)
 
 
 def test_watchpoints_with_huge_prime_gcd_exit_promptly():
@@ -619,10 +621,7 @@ def _limit_address_space():
 def test_density_past_prime_cap_exits_4_in_bounded_memory(argv):
     # in a fresh process limited to 1 GB of address space: refused before
     # any sieve of the cutoff's size is allocated
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-m", "walkvis.cli", *argv], capture_output=True, text=True,
-                          timeout=20, env=env, preexec_fn=_limit_address_space)
+    proc = run_fresh_python(["-m", "walkvis.cli", *argv], timeout=20, preexec_fn=_limit_address_space)
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr.startswith("over budget:")
     assert "Traceback" not in proc.stderr
