@@ -128,9 +128,12 @@ def _parse_watchpoints(text: str) -> list[tuple[int, int]]:
         for chunk in text.split(";"):
             xs, ys = chunk.split(",")
             pts.append((int(xs), int(ys)))
-        return pts
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad --watchpoints {text!r}; expected 'x1,y1;x2,y2;...'") from None
+    # validation factors gcds of coordinate differences: keep them to int64
+    if any(not -(2**63) <= c < 2**63 for pt in pts for c in pt):
+        raise argparse.ArgumentTypeError(f"bad --watchpoints {text!r}; coordinates must lie in int64")
+    return pts
 
 
 def _parse_alphas(text: str) -> list[float]:

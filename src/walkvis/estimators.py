@@ -16,18 +16,17 @@ import bisect
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .numtheory import BExponent, CapacityError, DensityResult, as_bexp
-from .visibility import WatchpointSet, _has_power_divisor, validate_watchpoint_set, visible_mask
+from .numtheory import BExponent, CapacityError, DensityResult, _iroot, as_bexp, sieve_primes
+from .visibility import WatchpointSet, validate_watchpoint_set, visible_mask
 from .walk import (
     MASK64,
     WalkerConfig,
     as_walker,
-    derive_trial_seed,
     mix_u64,
     right_threshold,
     splitmix64_block,
@@ -39,9 +38,9 @@ EXACT_STEP_CAP = 2000
 
 _CHUNK = 1 << 20
 _BYTE_ONES = np.uint64(0x0101010101010101)
-# Points within this reach of the origin keep every bit table the alive
-# path builds (windows up to twice the largest value) below 2**53, whose
-# square root stays inside MAX_TABLE_ENTRIES.
+# Points within this reach of the origin keep the primes the candidate
+# sieve strides over (see _candidates), those up to reach**(1/lo) <= 2**26,
+# inside MAX_TABLE_ENTRIES.
 _ALIVE_REACH = 1 << 52
 _BATCH_STEP_LIMIT = 64
 # The alive path masks its later walkers in groups of at most _GROUP_CAP,
@@ -182,11 +181,16 @@ def _candidates(lo: int, start: int, cnt: int, points) -> np.ndarray:
     point, s = i - (u + v) is 0 or has a prime p with p**lo | s.  Elsewhere
     every displacement from every point is visible unless it lies on an
     axis: an off-axis hidden displacement (dx, dy) has p**lo dividing both,
-    so dx + dy = s.  Read-only, so trials on other threads may share it."""
-    i = _chunk_steps(start, cnt)[0]
+    so dx + dy = s.  Each distinct w = u + v marks s = 0 and strides over
+    the multiples of p**lo, for the primes p with p**lo <= max|s|.
+    Read-only, so trials on other threads may share it."""
     cand = np.zeros(cnt, dtype=bool)
-    for u, v in points:
-        cand |= _has_power_divisor(lo, i, start + 1, start + cnt, u + v)
+    for w in {u + v for u, v in points}:
+        if start < w <= start + cnt:
+            cand[w - start - 1] = True
+        reach = max(abs(start + 1 - w), abs(start + cnt - w), 1)
+        for p in sieve_primes(_iroot(reach, lo)).tolist():
+            cand[(w - start - 1) % p**lo :: p**lo] = True
     cand.flags.writeable = False
     return cand
 
@@ -367,13 +371,6 @@ def _one_trial(b, seed: int, alphas, points, n: int) -> TrialResult:
     return TrialResult(0, int(count), n)
 
 
-def _watchpoint_points(b, watchpoints) -> tuple:
-    """The points of a WatchpointSet, or of a raw point list validated for b."""
-    if isinstance(watchpoints, WatchpointSet):
-        return watchpoints.points
-    return validate_watchpoint_set(b, watchpoints).points
-
-
 def simulate_watchpoint_run(b, watchpoints, alpha, n, seed) -> TrialResult:
     """One seeded trial: the count of steps 1..n visible from every watchpoint.
 
@@ -381,7 +378,7 @@ def simulate_watchpoint_run(b, watchpoints, alpha, n, seed) -> TrialResult:
     may be a validated WatchpointSet or a raw point list (validated here).
     """
     bb = as_bexp(b)
-    return _one_trial(bb, seed, (as_walker(alpha),), _watchpoint_points(bb, watchpoints), n)
+    return _one_trial(bb, seed, (as_walker(alpha),), validate_watchpoint_set(bb, watchpoints).points, n)
 
 
 def simulate_walkers_run(b, alphas, n, seed) -> TrialResult:
@@ -396,57 +393,48 @@ def simulate_walkers_run(b, alphas, n, seed) -> TrialResult:
     return _one_trial(as_bexp(b), seed, cfgs, _ORIGIN, n)
 
 
-def _run_trial(spec: SimulationSpec, t: int) -> TrialResult:
-    seed_t = derive_trial_seed(spec.master_seed, t, 0, 1)
-    if isinstance(spec.mode, WatchpointsMode):
-        res = simulate_watchpoint_run(
-            spec.b, spec.mode.watchpoints, spec.mode.alpha, spec.steps, seed_t
-        )
-    else:
-        res = simulate_walkers_run(spec.b, spec.mode.alphas, spec.steps, seed_t)
-    return TrialResult(t, res.visible_count, res.steps)
-
-
-def _map_trials(spec: SimulationSpec, threads: int):
-    """Map the trials over the shared pool, first replacing it if its thread
-    count differs, so no more threads idle than the last request asked for.
+def _map_trials(run, seeds, threads: int):
+    """Map run over the seeds, in order: by plain map with fewer than 2
+    threads or seeds, else on the shared pool, first replacing it if its
+    thread count differs, so no more threads idle than the last request
+    asked for.
     Submitting under the lock keeps another call from shutting the pool down
     in between; a replaced pool still runs what it was given.
     """
+    if threads < 2 or len(seeds) < 2:
+        return map(run, seeds)
     global _pool
     with _pool_lock:
         if _pool is None or _pool[0] != threads:
             if _pool is not None:
                 _pool[1].shutdown(wait=False)
             _pool = (threads, ThreadPoolExecutor(max_workers=threads))
-        return _pool[1].map(lambda t: _run_trial(spec, t), range(spec.trials))
+        return _pool[1].map(run, seeds)
 
 
 def aggregate_trials(spec: SimulationSpec, theory: DensityResult, threads: int = 1) -> AggregateResult:
     """Run all trials of the spec and aggregate in ascending trial order.
 
-    The per-trial seeds depend only on (master_seed, trial index), so the
-    result is identical whether trials run serially, threaded, or batched.
-    At or below _BATCH_STEP_LIMIT steps, all trials go to the engine in one
-    call; above it, the pool maps the per-trial simulators over trials.
+    Trial t runs from seed t of one splitmix64_block(master_seed, 0, T),
+    which is derive_trial_seed(master_seed, t, 0, 1), so the result is
+    identical whether trials run serially, threaded, or batched.  At or
+    below _BATCH_STEP_LIMIT steps, all trials go to the engine in one call;
+    above it, the per-trial simulator maps over the seeds.
     """
-    T = spec.trials
-    mode = spec.mode
-    if isinstance(mode, WatchpointsMode) and not isinstance(mode.watchpoints, WatchpointSet):
-        mode = WatchpointsMode(validate_watchpoint_set(spec.b, mode.watchpoints), mode.alpha)
-        spec = replace(spec, mode=mode)  # validated once here, not again in every trial
-    if spec.steps <= _BATCH_STEP_LIMIT:
-        if isinstance(mode, WatchpointsMode):
-            alphas, points = (mode.alpha,), mode.watchpoints.points
-        else:
-            alphas, points = mode.alphas, _ORIGIN
-        trial_seeds = splitmix64_block(spec.master_seed, 0, T)  # derive_trial_seed(master, t, 0, 1)
-        counts = _visible_counts(spec.b, trial_seeds, alphas, points, spec.steps)
-        results = [TrialResult(t, c, spec.steps) for t, c in enumerate(counts.tolist())]
-    elif threads > 1 and T > 1:
-        results = list(_map_trials(spec, threads))  # map keeps input order
+    T, n, mode = spec.trials, spec.steps, spec.mode
+    if isinstance(mode, WatchpointsMode):
+        wset = validate_watchpoint_set(spec.b, mode.watchpoints)  # once here; each trial returns it at once
+        alphas, points = (mode.alpha,), wset.points
+        run = partial(simulate_watchpoint_run, spec.b, wset, mode.alpha, n)
     else:
-        results = [_run_trial(spec, t) for t in range(T)]
+        alphas, points = mode.alphas, _ORIGIN
+        run = partial(simulate_walkers_run, spec.b, mode.alphas, n)
+    seeds = splitmix64_block(spec.master_seed, 0, T)
+    if n <= _BATCH_STEP_LIMIT:
+        counts = _visible_counts(spec.b, seeds, alphas, points, n).tolist()
+    else:
+        counts = [r.visible_count for r in _map_trials(run, seeds.tolist(), threads)]
+    results = [TrialResult(t, c, n) for t, c in enumerate(counts)]
 
     props = [r.proportion for r in results]
     mean = math.fsum(props) / T
@@ -499,7 +487,7 @@ def exact_expectation_watchpoints(b, watchpoints, alpha, n) -> float:
     shared-coordinate conventions as the simulator.
     """
     bb = as_bexp(b)
-    mass = _visible_mass(bb, _watchpoint_points(bb, watchpoints), [as_walker(alpha).alpha], n)
+    mass = _visible_mass(bb, validate_watchpoint_set(bb, watchpoints).points, [as_walker(alpha).alpha], n)
     return math.fsum(mass[:, 0].tolist()) / n
 
 

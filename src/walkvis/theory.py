@@ -53,7 +53,7 @@ def density_watchpoints(b, J: int, tol: float = 1e-9) -> DensityResult:
         raise ValueError(f"J must lie in 1..2**(b1+b2) = {2**k}, got {J}")
 
     def corrected(p: int) -> float:
-        t = 1.0 / p**k
+        t = 1 / p**k
         return (1.0 - J * t) / (1.0 - t) ** J
 
     raw = euler_product_truncated(corrected, 2 * k, tol, dev_constant=2.0 * J * J)
@@ -77,10 +77,10 @@ def density_walkers(b, r: int, tol: float = 1e-9) -> DensityResult:
     primes, tail = _euler_primes(3.0 * r * r, lo + 2 * hi, tol)
     log_acc = -r * math.log(zeta_int(k))
     for p in primes:
-        y = 1.0 / p**lo
-        z = 1.0 / p**hi
+        y = 1 / p**lo
+        z = 1 / p**hi
         f = 1.0 - y * (1.0 - (1.0 - z) ** r)
-        log_acc += math.log(f) - r * math.log1p(-1.0 / p**k)
+        log_acc += math.log(f) - r * math.log1p(-1 / p**k)
     return DensityResult(math.exp(log_acc), primes[-1], tail)
 
 

@@ -67,6 +67,8 @@ def gcd_b_bruteforce(b, m: int, n: int) -> int:
 def check_gcd_properties(samples: int = 10_000) -> list[CheckResult]:
     """Brute-force equivalence plus the exchange, shift, bi-multiplicativity
     and prime-power identities of the generalized gcd."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = _Rand(0xC0FFEE)
     results = []
 
@@ -80,51 +82,39 @@ def check_gcd_properties(samples: int = 10_000) -> list[CheckResult]:
             if m or n:
                 return m, n
 
-    bad = 0
-    for _ in range(samples):
+    def brute_force() -> bool:
         b = rand_b()
         m, n = rand_mn()
-        if gcd_b(b, m, n) != gcd_b_bruteforce(b, m, n):
-            bad += 1
-    results.append(CheckResult(f"gcd_b vs brute force ({samples} random cases)", bad == 0, f"{bad} mismatches"))
+        return gcd_b(b, m, n) == gcd_b_bruteforce(b, m, n)
 
-    bad = 0
-    for _ in range(samples):
+    def divisor_criterion() -> bool:
         b = as_bexp(rand_b())
         m, n = rand_mn()
         d = rng.range(1, 50)
-        lhs = gcd_b(b, m, n) % d == 0
-        rhs = (m % d**b.b1 == 0) and (n % d**b.b2 == 0)
-        if lhs != rhs:
-            bad += 1
-    results.append(CheckResult("divisor criterion: d | gcd_b(m,n) iff d^b1|m and d^b2|n", bad == 0, f"{bad} mismatches"))
+        return (gcd_b(b, m, n) % d == 0) == (m % d**b.b1 == 0 and n % d**b.b2 == 0)
 
-    bad = 0
-    for _ in range(samples):
-        b1, b2 = rand_b()
-        if b1 > b2:
-            b1, b2 = b2, b1
+    def shift_invariance() -> bool:
+        b1, b2 = sorted(rand_b())
         m, n = rand_mn()
-        if n == 0:
-            n = 1
+        n = n or 1
         a = rng.range(-10, 10)
-        if gcd_b((b1, b2), m, n) != gcd_b((b1, b2), m + a * n, n):
-            bad += 1
-    results.append(CheckResult("shift invariance: gcd_b(m,n) = gcd_b(m+a*n, n) for b1<=b2", bad == 0, f"{bad} mismatches"))
+        return gcd_b((b1, b2), m, n) == gcd_b((b1, b2), m + a * n, n)
 
-    bad = tried = 0
-    while tried < samples:
-        b = rand_b()
-        m1 = rng.range(1, 2000)
-        n1 = rng.range(1, 2000)
-        m2 = rng.range(1, 2000)
-        n2 = rng.range(1, 2000)
-        if math.gcd(m1 * n1, m2 * n2) != 1:
-            continue
-        tried += 1
-        if gcd_b(b, m1 * m2, n1 * n2) != gcd_b(b, m1, n1) * gcd_b(b, m2, n2):
-            bad += 1
-    results.append(CheckResult(f"bi-multiplicativity on {samples} coprime quadruples", bad == 0, f"{bad} mismatches"))
+    def bi_multiplicativity() -> bool:
+        while True:  # redraw until m1*n1 and m2*n2 are coprime
+            b = rand_b()
+            m1, n1, m2, n2 = (rng.range(1, 2000) for _ in range(4))
+            if math.gcd(m1 * n1, m2 * n2) == 1:
+                return gcd_b(b, m1 * m2, n1 * n2) == gcd_b(b, m1, n1) * gcd_b(b, m2, n2)
+
+    for name, agrees in (
+        (f"gcd_b vs brute force ({samples} random cases)", brute_force),
+        ("divisor criterion: d | gcd_b(m,n) iff d^b1|m and d^b2|n", divisor_criterion),
+        ("shift invariance: gcd_b(m,n) = gcd_b(m+a*n, n) for b1<=b2", shift_invariance),
+        (f"bi-multiplicativity on {samples} coprime quadruples", bi_multiplicativity),
+    ):
+        bad = sum(not agrees() for _ in range(samples))
+        results.append(CheckResult(name, bad == 0, f"{bad} mismatches"))
 
     bad = 0
     for b1, b2 in _COPRIME_B_PAIRS:
@@ -147,6 +137,8 @@ def check_visibility_oracle(b, box: int = 40) -> list[CheckResult]:
     (box+1)^2-choose-style pair census reduces to the box*box displacement
     classes, each evaluated once per route.
     """
+    if box < 1:
+        raise ValueError(f"box must be >= 1, got {box}")
     bb = as_bexp(b)
     mismatches = []
     pairs = 0

@@ -109,9 +109,15 @@ class WatchpointValidationError(ValueError):
         self.cardinality = cardinality
 
 
-def validate_watchpoint_set(b, points: Sequence) -> WatchpointSet:
-    """Validate a nonempty point list as a watchpoint set for this b."""
+def validate_watchpoint_set(b, points: Sequence | WatchpointSet) -> WatchpointSet:
+    """Validate a nonempty point list as a watchpoint set for this b.  A
+    WatchpointSet validated for this b comes back unchanged; one validated
+    for another b is validated again."""
     bb = as_bexp(b)
+    if isinstance(points, WatchpointSet):
+        if points.b == bb:
+            return points
+        points = points.points
     pts = [LatticePoint(int(pt[0]), int(pt[1])) for pt in points]
     if not pts:
         raise ValueError("watchpoint set must be nonempty")
@@ -201,18 +207,6 @@ def _lane_table(b: tuple, axis: int, base: int, size: int, coords: tuple, root: 
             row[c - base] |= np.uint64(lane)
     table.flags.writeable = False
     return table
-
-
-def _has_power_divisor(e: int, v: np.ndarray, vmin: int, vmax: int, shift: int) -> np.ndarray:
-    """Whether v - shift is 0 or has a prime p with p**e | v - shift, at
-    every entry of v, whose values lie in [vmin, vmax]; e >= 2.  Reads a
-    one-point dx lane table (see _lane_table), whose large bit is exact
-    for e >= 2: P holds every prime p with p**e within the window."""
-    base, size = _window(vmin, vmax)
-    root = _iroot(max(abs(base - shift), abs(base + size - 1 - shift), 1), e)
-    r = _lane_table((e, e), 0, base, size, (shift,), root)[0][v - base]
-    r &= ~np.uint64(2)  # every bit but the nonunit axis bit
-    return r != 0
 
 
 def visible_mask(b, dx, dy, points=((0, 0),), bounds=None) -> np.ndarray:

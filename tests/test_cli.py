@@ -52,6 +52,21 @@ def test_density_identity_walkers_r1():
     assert abs(v1 - v2) < 1e-9
 
 
+@pytest.mark.parametrize("argv", [
+    ("density", "walkers", "--b", "1,2000", "--r", "2"),
+    ("density", "watchpoints", "--b", "1,2000", "--J", "3"),
+    ("density", "walkers", "--b", "999,1000", "--r", "2"),
+    ("table2", "--b", "1,2000", "--rows", "2", "--steps", "100", "--trials", "1"),
+])
+def test_density_with_large_exponents(argv):
+    # p**k past float range: 1 / p**k divides the ints, where a float
+    # conversion of p**k would raise OverflowError
+    code, out = run_cli(*argv)
+    assert code == 0
+    header, rows = csv_rows(out)
+    assert float(rows[0][header.index("theoretical" if argv[0] == "table2" else "value")]) == 1.0
+
+
 def test_bad_b_exits_2():
     code, _ = run_cli("density", "watchpoints", "--b", "2,4", "--J", "1")
     assert code == 2
@@ -200,6 +215,18 @@ def test_watchpoints_with_huge_prime_gcd_exit_promptly():
     assert is_b_visible((1, 2), (0, 0), (4611686018427387902, 6917529027641081853))
 
 
+def test_watchpoint_coordinates_past_int64_exit_2_promptly():
+    # X = (2**89 - 1)(2**107 - 1): validating (0,0) against (X, X) would
+    # factor gcd(X, X) = X by rho, about 2**44 steps; the parser refuses any
+    # coordinate outside int64 first, in a fresh process killed after 20 s
+    x = (2**89 - 1) * (2**107 - 1)
+    run = ("--b", "1,1", "--watchpoints", f"0,0;{x},{x}", "--alpha", "0.5", "--steps", "10")
+    for argv in (["simulate", "watchpoints", *run, "--trials", "1"], ["exact", "watchpoints", *run]):
+        proc = run_fresh_python(f"from walkvis.cli import main; raise SystemExit(main({argv!r}))", timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        assert "int64" in proc.stderr
+
+
 def test_walkvis_never_imports_scipy():
     # numpy is the only runtime dependency; checked in a fresh interpreter,
     # also after an exact oracle ran
@@ -314,6 +341,18 @@ def test_verify_gcd_properties_cli():
     code, out = run_cli("verify", "gcd-properties", "--samples", "300")
     assert code == 0
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "gcd-properties", "--samples", "0"),
+    ("verify", "visibility-oracle", "--b", "2,3", "--box", "0"),
+])
+def test_verify_empty_sample_exits_2(argv, capsys):
+    # a check over no cases would pass vacuously
+    code, out = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 def test_verify_mean_value_cli():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walkvis.estimators
+import walkvis.visibility
 from walkvis.estimators import (
     EXACT_STEP_CAP,
     SimulationSpec,
@@ -19,7 +20,6 @@ from walkvis.estimators import (
     _counts,
     _first_reaching,
     _positions,
-    _run_trial,
     _visible_counts,
     aggregate_trials,
     exact_expectation_walkers,
@@ -27,9 +27,9 @@ from walkvis.estimators import (
     simulate_walkers_run,
     simulate_watchpoint_run,
 )
-from walkvis.numtheory import CapacityError
+from walkvis.numtheory import CapacityError, as_bexp
 from walkvis.theory import density_walkers, density_watchpoints
-from walkvis.visibility import is_b_visible, validate_watchpoint_set
+from walkvis.visibility import WatchpointValidationError, is_b_visible, validate_watchpoint_set
 from walkvis.walk import WalkerConfig, derive_trial_seed, mix_u64, right_threshold, walk_positions
 
 
@@ -149,7 +149,10 @@ def test_aggregate_matches_independent_trial_order():
     theory = density_watchpoints((2, 3), 2)
     agg = aggregate_trials(spec, theory)
     # recompute each trial in reverse order; aggregation must not care
-    reversed_counts = [_run_trial(spec, t).visible_count for t in range(5, -1, -1)]
+    reversed_counts = [
+        simulate_watchpoint_run(wset.b, wset, 0.4, 1000, derive_trial_seed(11, t, 0, 1)).visible_count
+        for t in range(5, -1, -1)
+    ]
     assert reversed_counts[::-1] == [t.visible_count for t in agg.trial_results]
     mean = math.fsum(c / 1000 for c in reversed_counts) / 6
     assert abs(mean - agg.mean_proportion) < 1e-15
@@ -211,10 +214,14 @@ def test_trial_pool_shared_by_concurrent_callers():
 def test_batched_small_n_matches_serial():
     wset = validate_watchpoint_set((1, 2), [(0, 0), (1, 2), (2, 1)])
     walkers = (WalkerConfig(0.5), WalkerConfig(0.3), WalkerConfig(0.7))
-    for mode in (WatchpointsMode(wset, WalkerConfig(0.5)), WalkersMode(walkers)):
+    runs = (
+        (WatchpointsMode(wset, WalkerConfig(0.5)), lambda seed: simulate_watchpoint_run(wset.b, wset, 0.5, 20, seed)),
+        (WalkersMode(walkers), lambda seed: simulate_walkers_run(wset.b, walkers, 20, seed)),
+    )
+    for mode, run in runs:
         spec = SimulationSpec(wset.b, mode, 20, 300, 31)
         agg = aggregate_trials(spec, density_watchpoints((1, 2), 3))  # batched: n <= 64
-        serial = [_run_trial(spec, t) for t in range(300)]
+        serial = [run(derive_trial_seed(31, t, 0, 1)) for t in range(300)]
         assert [t.visible_count for t in agg.trial_results] == [t.visible_count for t in serial]
 
 
@@ -229,23 +236,41 @@ def test_raw_watchpoint_list_matches_validated_set():
 
 
 def test_raw_watchpoint_list_validated_once(monkeypatch):
-    # n = 100 takes the per-trial path, whose trials must not validate again
+    # n = 100 takes the per-trial path, whose 20 trials must not check the
+    # 3 pairs again: a revalidation in each would make 60 more calls
     raw = [(0, 0), (1, 2), (2, 1)]
     wset = validate_watchpoint_set((1, 2), raw)
     theory = density_watchpoints((1, 2), 3)
     want = aggregate_trials(SimulationSpec(wset.b, WatchpointsMode(wset, WalkerConfig(0.5)), 100, 20, 7), theory)
     calls = []
 
-    def counting(b, points):
-        calls.append(points)
-        return validate_watchpoint_set(b, points)
+    def counting(b, p, q, tables=None):
+        calls.append((p, q))
+        return is_b_visible(b, p, q, tables)
 
-    monkeypatch.setattr(walkvis.estimators, "validate_watchpoint_set", counting)
+    monkeypatch.setattr(walkvis.visibility, "is_b_visible", counting)
     spec = SimulationSpec(wset.b, WatchpointsMode(raw, WalkerConfig(0.5)), 100, 20, 7)
     for threads in (1, 2):
         calls.clear()
         assert aggregate_trials(spec, theory, threads=threads) == want
-        assert len(calls) == 1
+        assert len(calls) == 3
+
+
+def test_watchpoint_set_for_another_b_is_validated_again():
+    # a set validated for (2, 1) whose pair is not (1, 2)-visible must not
+    # pass as valid at (1, 2)
+    q = next((x, y) for x in range(1, 20) for y in range(1, 20)
+             if is_b_visible((2, 1), (0, 0), (x, y)) and not is_b_visible((1, 2), (0, 0), (x, y)))
+    wset = validate_watchpoint_set((2, 1), [(0, 0), q])
+    spec = SimulationSpec(as_bexp((1, 2)), WatchpointsMode(wset, WalkerConfig(0.5)), 100, 2, 7)
+    calls = (
+        lambda: simulate_watchpoint_run((1, 2), wset, 0.5, 100, 7),
+        lambda: aggregate_trials(spec, density_watchpoints((1, 2), 2)),
+        lambda: exact_expectation_watchpoints((1, 2), wset, 0.5, 10),
+    )
+    for call in calls:
+        with pytest.raises(WatchpointValidationError):
+            call()
 
 
 def test_monte_carlo_agrees_with_exact_oracle():
