@@ -375,7 +375,7 @@ def simulate_watchpoint_run(b, watchpoints, alpha, n, seed) -> TrialResult:
     """One seeded trial: the count of steps 1..n visible from every watchpoint.
 
     A step landing exactly on a watchpoint is not visible.  ``watchpoints``
-    may be a validated WatchpointSet or a raw point list (validated here).
+    may be a point list or a WatchpointSet, checked by validate_watchpoint_set.
     """
     bb = as_bexp(b)
     return _one_trial(bb, seed, (as_walker(alpha),), validate_watchpoint_set(bb, watchpoints).points, n)

@@ -332,6 +332,7 @@ def test_visible_mask_lane_selection(monkeypatch, b, points, xs, ys, layout):
     (2, 0, 500, ((0, 0), (1, 2), (2, 1))),
     (3, 100_000, 2000, ((0, 0), (7, -3), (150_000, 2))),
     (2, 80_000, 12_000, ((0, 0), (3, -1))),  # s passes 293**2
+    (3, 0, 5, ((1, 2),)),  # |s| <= 2: no prime to stride over, only s = 0
 ])
 def test_candidates_match_factorization(lo, start, cnt, points):
     def candidate(i):
