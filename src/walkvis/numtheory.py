@@ -150,18 +150,14 @@ def _multiplicity(p: int, x: int) -> int:
 
 
 # Miller-Rabin with these bases decides the primality of every n below
-# _MR_LIMIT (Sorenson and Webster, 2015), so of every 64-bit n.
+# 3.3e24 (Sorenson and Webster, 2015), so of every n in factorize_distinct's
+# domain, which ends at 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 _TRIAL_LIMIT = 1 << 10
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n with no prime factor up to 41: exact below
-    _MR_LIMIT.  Past it a False still proves n composite, and a True needs
-    a strong Lucas test as well (together Baillie-PSW, with base 2 among
-    the bases): no composite is known to pass both, but none is proven to
-    fail, so past _MR_LIMIT a True means a probable prime."""
+    """Miller-Rabin for odd n < 2**64 with no prime factor up to 41: exact."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -176,59 +172,7 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _MR_LIMIT or _is_strong_lucas_prp(n)
-
-
-def _jacobi(a: int, n: int) -> int:
-    """The Jacobi symbol (a/n) for odd n > 0."""
-    a %= n
-    sign = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
-
-
-def _is_strong_lucas_prp(n: int) -> bool:
-    """The strong Lucas probable-prime test of odd n > 1 with Selfridge's
-    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
-    Q = (1 - D)/4.  With n + 1 = d * 2**s, d odd, n passes when U_d = 0 or
-    V_(d * 2**r) = 0 (mod n) for some 0 <= r < s.  Primes always pass."""
-    if math.isqrt(n) ** 2 == n:
-        return False  # no D would have (D/n) = -1
-    D = 5
-    while (j := _jacobi(D, n)) != -1:
-        if j == 0:
-            return abs(D) == n
-        D = -D - 2 if D > 0 else -D + 2
-    Q = (1 - D) // 4
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-
-    def half(x: int) -> int:  # x / 2 mod n, n odd
-        x %= n
-        return (x + n * (x & 1)) >> 1
-
-    U, V, Qk = 1, 1, Q % n  # U_1, V_1 = P and Q**1
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n  # k -> 2k
-        if bit == "1":  # 2k -> 2k + 1
-            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-        if V == 0:
-            return True
-    return False
+    return True
 
 
 def _rho_divisor(n: int) -> int:
@@ -258,20 +202,6 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
-@lru_cache(maxsize=1)
-def _pm1_exponent() -> int:
-    return math.lcm(*range(1, 4097))
-
-
-def _pm1_divisor(n: int) -> int:
-    """gcd(3**E - 1, n) with E = lcm(1 .. 4096), Pollard's p - 1 stage one:
-    a proper divisor of n when the order of 3 modulo some prime factor
-    divides E (as when p - 1 is 4096-powersmooth) and modulo another does
-    not, else 1 or n.  Base 2 would give n whenever a Mersenne prime
-    2**k - 1, k <= 4096, is a factor: 2 has order k modulo it."""
-    return math.gcd(pow(3, _pm1_exponent(), n) - 1, n)
-
-
 def _iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) for n >= 1, by integer Newton steps from above."""
     x = 1 << -(-n.bit_length() // k)
@@ -283,38 +213,27 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _prime_divisors(n: int) -> set[int]:
-    """Distinct primes of n > 1 with no prime factor below _TRIAL_LIMIT.
+    """Distinct primes of 1 < n < 2**64 with no prime factor below _TRIAL_LIMIT.
 
-    An n that _is_prime calls composite is first tested for n = r**k.  Past
-    2**50 Pollard's p - 1 stage (a 5900-bit modular power) goes before rho,
-    which needs about sqrt(p) steps for the least prime factor p.
-    Every prime factor exceeds 2**10, so k <= bit_length/10.  Still out of
-    reach: two large primes whose p - 1 are both far from smooth, such as
-    (2**89 - 1) * (2**107 - 1), on which the p - 1 stage gives 1.  At or
-    past _MR_LIMIT a prime is a Baillie-PSW probable prime (unproven).
+    Miller-Rabin, then rho, which needs about sqrt(p) steps for the least
+    prime factor p, at most 2**32: a product of two 32-bit primes takes
+    tens of milliseconds.
     """
     if _is_prime(n):
         return {n}
-    for k in range(2, n.bit_length() // 10 + 1):
-        r = _iroot(n, k)
-        if r**k == n:
-            return _prime_divisors(r)
-    d = _pm1_divisor(n) if n >> 50 else 1
-    if d in (1, n):
-        d = _rho_divisor(n)
+    d = _rho_divisor(n)
     return _prime_divisors(d) | _prime_divisors(n // d)
 
 
 def factorize_distinct(x: int, tables: PrimeTables | None = None) -> Iterator[tuple[int, int]]:
-    """Yield (prime, multiplicity) for x >= 1 in ascending order of prime.
+    """Yield (prime, multiplicity) for 1 <= x < 2**64 in ascending order of
+    prime; raise ValueError outside that domain.
 
     Uses the spf walk when x is in range.  Otherwise it trial-divides below
-    _TRIAL_LIMIT, and splits the cofactor with Miller-Rabin, k-th roots and rho.
-    A factor at or past _MR_LIMIT (about 3.3e24) is called prime by the
-    Baillie-PSW probable-prime test, which is unproven there.
+    _TRIAL_LIMIT, and splits the cofactor with Miller-Rabin and rho.
     """
-    if x < 1:
-        raise ValueError(f"cannot factor {x}")
+    if not 1 <= x < 2**64:
+        raise ValueError(f"cannot factor {x}: outside 1 <= x < 2**64")
     if tables is not None and x <= tables.limit:
         spf = tables.spf
         while x > 1:
@@ -351,7 +270,8 @@ def gcd_b(b, m: int, n: int) -> int:
 
     Divisibility is taken on absolute values, and every d divides 0, so a
     single zero argument is fine; (0, 0) is rejected.  With b = (1, 1) this
-    is the ordinary gcd.
+    is the ordinary gcd.  The number factored, gcd(m, n) or the nonzero
+    argument, must lie below 2**64 (factorize_distinct's domain).
     """
     bb = as_bexp(b)
     m, n = abs(m), abs(n)

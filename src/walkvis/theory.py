@@ -111,8 +111,8 @@ def f_bs_value(b, shifts: Sequence[int], n: int) -> float:
 
     Coprimality puts each prime in at most one d_j, so the sum is the product
     over primes p of (1 - c_p / p**b2), c_p the number of j with
-    p**b1 | n - s_j.  Defined for n beyond every |s_j|; with J = 1, s = 0
-    this is f_b(n).
+    p**b1 | n - s_j.  Defined for n beyond every |s_j|, with every n - s_j
+    below 2**64 (it is factored); with J = 1, s = 0 this is f_b(n).
     """
     bb = as_bexp(b)
     s = tuple(int(v) for v in shifts)

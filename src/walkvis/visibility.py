@@ -41,7 +41,8 @@ def is_b_visible(b, p, q, tables: PrimeTables | None = None) -> bool:
 
     Off-axis pairs are visible exactly when gcd_b of the displacement is 1;
     pairs sharing a coordinate (degenerate vertical/horizontal curve) are
-    visible exactly when the other coordinates differ by 1.
+    visible exactly when the other coordinates differ by 1.  Off axis,
+    gcd(|dx|, |dy|) is factored, so it must lie below 2**64.
     """
     bb = as_bexp(b)
     dx = p[0] - q[0]

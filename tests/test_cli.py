@@ -217,8 +217,9 @@ def test_watchpoints_with_huge_prime_gcd_exit_promptly():
 
 def test_watchpoint_coordinates_past_int64_exit_2_promptly():
     # X = (2**89 - 1)(2**107 - 1): validating (0,0) against (X, X) would
-    # factor gcd(X, X) = X by rho, about 2**44 steps; the parser refuses any
-    # coordinate outside int64 first, in a fresh process killed after 20 s
+    # factor gcd(X, X) = X, past factorize_distinct's domain; the parser
+    # refuses any coordinate outside int64 first, in a fresh process killed
+    # after 20 s
     x = (2**89 - 1) * (2**107 - 1)
     run = ("--b", "1,1", "--watchpoints", f"0,0;{x},{x}", "--alpha", "0.5", "--steps", "10")
     for argv in (["simulate", "watchpoints", *run, "--trials", "1"], ["exact", "watchpoints", *run]):

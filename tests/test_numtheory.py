@@ -13,8 +13,6 @@ from walkvis.numtheory import (
     MAX_TABLE_ENTRIES,
     BExponent,
     CapacityError,
-    _is_strong_lucas_prp,
-    _pm1_divisor,
     as_bexp,
     build_tables,
     euler_product_truncated,
@@ -213,9 +211,9 @@ def test_factorize_distinct_past_trial_division():
     cases = {
         m61: [(m61, 1)],
         2 * m61: [(2, 1), (m61, 1)],
-        4 * 1000003 * (2**31 - 1) ** 2: [(2, 2), (1000003, 1), (2**31 - 1, 2)],
-        999983 * 1000003 * (2**31 - 1): [(999983, 1), (1000003, 1), (2**31 - 1, 1)],
-        1031**2 * 1033 * 999983**2: [(1031, 2), (1033, 1), (999983, 2)],
+        4 * 3 * 1073741827**2: [(2, 2), (3, 1), (1073741827, 2)],
+        999983 * 1000003 * 16777213: [(999983, 1), (1000003, 1), (16777213, 1)],
+        1031**2 * 999983**2: [(1031, 2), (999983, 2)],
         3215031751: [(151, 1), (751, 1), (28351, 1)],  # strong pseudoprime to bases 2, 3, 5, 7
     }
     for x, want in cases.items():
@@ -225,92 +223,82 @@ def test_factorize_distinct_past_trial_division():
         z, state = splitmix64_next(state)
         x = z % 10 ** (1 + z % 12) + 1
         assert list(factorize_distinct(x)) == sorted(factor_slow(x).items()), x
+    # the same shapes past the domain are refused
+    for x in (4 * 1000003 * (2**31 - 1) ** 2, 999983 * 1000003 * (2**31 - 1), 1031**2 * 1033 * 999983**2):
+        with pytest.raises(ValueError):
+            list(factorize_distinct(x))
 
 
-def test_factorize_distinct_splits_composite_past_mr_limit():
-    # (2**31 - 1) * (2**61 - 1) is past the Miller-Rabin bound, but a
-    # "composite" verdict holds there, so rho splits it instead of trial division
-    out = run_with_time_limit(
-        "from walkvis.numtheory import _MR_LIMIT, factorize_distinct\n"
-        "x = (2**31 - 1) * (2**61 - 1)\n"
-        "assert x >= _MR_LIMIT\n"
-        "print(list(factorize_distinct(x)))"
-    )
-    assert out.strip() == str([(2**31 - 1, 1), (2**61 - 1, 1)])
+def _draw_32_bit_prime(state):
+    """The first prime at or past a SplitMix64 draw with its top bit set, by
+    trial division by the primes below 2**16."""
+    small = sieve_primes(1 << 16)
+    z, state = splitmix64_next(state)
+    p = (z >> 32) | (1 << 31) | 1
+    while (p % small == 0).any():
+        p += 2
+    return p, state
 
 
-def test_factorize_distinct_past_mr_limit_uses_bpsw():
-    # 2**89 - 1 passes every Miller-Rabin base past their bound; the strong
-    # Lucas test then calls it a probable prime, so it is not trial-divided
-    m31, m89 = 2**31 - 1, 2**89 - 1
-    out = run_with_time_limit(
-        "from walkvis.numtheory import factorize_distinct\n"
-        f"for x in ({m89}, {m31} * {m89}, 1031 * {m89}**2):\n"
-        "    print(list(factorize_distinct(x)))"
-    )
-    assert out.split("\n")[:3] == [
-        str([(m89, 1)]),
-        str([(m31, 1), (m89, 1)]),
-        str([(1031, 1), (m89, 2)]),
-    ]
-
-
-def test_factorize_distinct_splits_two_large_primes():
-    # rho needs about sqrt(2**61) steps here; Pollard's p - 1 stage splits
-    # them, since (2**31 - 1) - 1 and (2**61 - 1) - 1 are 4096-smooth
-    m31, m61, m89 = 2**31 - 1, 2**61 - 1, 2**89 - 1
+def test_factorize_distinct_splits_balanced_semiprimes():
+    # rho needs about sqrt(p) <= 2**16 steps on a product of two 32-bit primes
+    state = 27
+    want = {(2**32 - 5) ** 2: [(2**32 - 5, 2)]}
+    for _ in range(20):
+        p, state = _draw_32_bit_prime(state)
+        q, state = _draw_32_bit_prime(state)
+        assert 2**62 <= p * q < 2**64
+        want[p * q] = sorted([(p, 1), (q, 1)])
     out = run_with_time_limit(
         "from walkvis.numtheory import factorize_distinct\n"
-        f"for x in ({m61} * {m89}, {m31} * {m61} * {m89}):\n"
+        f"for x in {list(want)}:\n"
         "    print(list(factorize_distinct(x)))"
     )
-    assert out.split("\n")[:2] == [
-        str([(m61, 1), (m89, 1)]),
-        str([(m31, 1), (m61, 1), (m89, 1)]),
-    ]
-    # out of reach: neither p - 1 is smooth, so the stage finds no divisor
-    assert _pm1_divisor((2**89 - 1) * (2**107 - 1)) == 1
-
-
-def test_small_cofactors_skip_the_p_minus_1_stage(monkeypatch):
-    # below 2**50 rho splits a cofactor in microseconds, the stage's
-    # 5900-bit modular power takes about half a millisecond
-    import walkvis.numtheory as nt
-
-    calls = []
-    real = nt._pm1_divisor
-    monkeypatch.setattr(nt, "_pm1_divisor", lambda n: calls.append(n) or real(n))
-    assert list(factorize_distinct(1031 * 1033)) == [(1031, 1), (1033, 1)]
-    assert calls == []
-    m31, m61 = 2**31 - 1, 2**61 - 1
-    assert list(factorize_distinct(m31 * m61)) == [(m31, 1), (m61, 1)]
-    assert calls == [m31 * m61]
-
-
-def test_strong_lucas_pseudoprimes_below_1e5():
-    # the composites below 1e5 that pass the strong Lucas test with
-    # Selfridge's parameters (OEIS A217255); every prime passes
-    primes = set(sieve_primes(100_000).tolist())
-    passing = [n for n in range(3, 100_000, 2) if _is_strong_lucas_prp(n)]
-    assert [n for n in passing if n not in primes] == [
-        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
-    ]
-    assert primes - {2} <= set(passing)
+    assert out.split("\n")[: len(want)] == [str(v) for v in want.values()]
 
 
 def test_factorize_distinct_splits_prime_powers():
-    # rho needs about sqrt(p) steps on p**k, so perfect powers are split by roots
-    m61, m31 = 2**61 - 1, 2**31 - 1
+    # rho splits p**k too: modulo p its sequence cycles long before modulo p**k
     out = run_with_time_limit(
         "from walkvis.numtheory import factorize_distinct\n"
-        f"for x in ({m61}**2, 1031 * {m61}**2 * 999983, {m31}**3):\n"
+        f"for x in ({2**32 - 5}**2, {2**21 - 9}**3, 1031**6):\n"
         "    print(list(factorize_distinct(x)))"
     )
-    assert out.split("\n")[:3] == [
-        str([(m61, 2)]),
-        str([(1031, 1), (999983, 1), (m61, 2)]),
-        str([(m31, 3)]),
-    ]
+    assert out.split("\n")[:3] == [str([(2**32 - 5, 2)]), str([(2**21 - 9, 3)]), str([(1031, 6)])]
+
+
+def test_numbers_past_2_64_are_refused_at_once():
+    # X = (2**89 - 1)(2**107 - 1) is beyond rho's reach; every entry point
+    # that would factor it, or any number of 2**64 or more, raises first
+    out = run_with_time_limit(
+        "import time\n"
+        "from walkvis.numtheory import factorize_distinct, gcd_b\n"
+        "from walkvis.theory import f_bs_value, gcdb_conditioned_binomial_sum\n"
+        "from walkvis.visibility import WatchpointValidationError, validate_watchpoint_set\n"
+        "X = (2**89 - 1) * (2**107 - 1)\n"
+        "calls = [\n"
+        "    lambda: list(factorize_distinct(2**64)),\n"
+        "    lambda: gcd_b((1, 1), X, X),\n"
+        "    lambda: gcd_b((1, 2), 0, 2**64),\n"
+        "    lambda: f_bs_value((1, 2), (0,), 2**64),\n"
+        "    lambda: f_bs_value((2, 3), (0, 1), X),\n"
+        "    lambda: gcdb_conditioned_binomial_sum((1, 1), 0.5, 4, 2**64, (0,), (0,)),\n"
+        "    lambda: validate_watchpoint_set((1, 1), [(0, 0), (X, X)]),\n"
+        "]\n"
+        "for call in calls:\n"
+        "    start = time.perf_counter()\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as e:\n"
+        "        assert not isinstance(e, WatchpointValidationError), e\n"
+        "        print(time.perf_counter() - start)\n"
+        "    else:\n"
+        "        raise AssertionError('no ValueError')\n"
+        "print(list(factorize_distinct(2**64 - 1)))"
+    )
+    lines = out.split("\n")
+    assert all(float(t) < 1.0 for t in lines[:7]), lines
+    assert lines[7] == str([(3, 1), (5, 1), (17, 1), (257, 1), (641, 1), (65537, 1), (6700417, 1)])
 
 
 def test_gcd_b_of_huge_coprime_pair_is_fast():
